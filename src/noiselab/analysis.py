@@ -177,10 +177,6 @@ def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
     def residuals(x: np.ndarray) -> np.ndarray:
         return p_obs - _purity_model(ns, period, x[0], x[1])
 
-    def lossfun(x: np.ndarray) -> float:
-        r = residuals(x)
-        return float(r @ r)
-
     # seed f from the dominant discrete frequency of 2p-1
     w = 2.0 * p_obs - 1.0
     spec = np.abs(np.fft.rfft(w - w.mean()))
@@ -195,16 +191,13 @@ def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
     ]
     scale = np.array([max(f_max / 4.0, 1e-6), max(g_seed, 1e-6)])
     best = minimize_multistart(
-        lossfun, starts, np.array([0.0, 0.0]), np.array([f_max, np.inf]), scale, maxfev=800
+        residuals, starts, np.array([0.0, 0.0]), np.array([f_max, np.inf]), scale, maxfev=800
     )
 
     # profile z-score: refit with f pinned at 0 (pure decay), compare losses
-    def loss_f0(g: float) -> float:
-        return lossfun(np.array([0.0, g]))
-
     g_starts = [np.array([g]) for g in (0.0, g_seed, 5.0 * g_seed, best.x[1])]
     null = minimize_multistart(
-        lambda x: loss_f0(x[0]), g_starts, np.array([0.0]), np.array([np.inf]),
+        lambda x: residuals(np.array([0.0, x[0]])), g_starts, np.array([0.0]), np.array([np.inf]),
         np.array([max(g_seed, 1e-6)]), maxfev=400,
     )
 
@@ -246,15 +239,14 @@ def _phasor_basis(n_samples: int, omega: float, decay: float) -> np.ndarray:
     return np.exp((1j * omega - decay) * k)
 
 
-def _project(z: np.ndarray, omega: float, decay: float) -> tuple[complex, float]:
-    """Best amplitude and the resulting residual norm^2 (variable projection)."""
+def _project(z: np.ndarray, omega: float, decay: float) -> tuple[complex, np.ndarray]:
+    """Best amplitude and the resulting residual series (variable projection)."""
     b = _phasor_basis(z.shape[0], omega, decay)
     bb = float(np.real(np.vdot(b, b)))
     if bb < 1e-300:
-        return 0.0 + 0.0j, float(np.real(np.vdot(z, z)))
+        return 0.0 + 0.0j, z
     amp = np.vdot(b, z) / bb
-    resid = z - amp * b
-    return complex(amp), float(np.real(np.vdot(resid, resid)))
+    return complex(amp), z - amp * b
 
 
 def _wrap(omega: float) -> float:
@@ -270,8 +262,9 @@ def _fit_one_phasor(resid: np.ndarray, w0: float) -> Phasor:
     n = resid.shape[0]
     bin_w = 2.0 * math.pi / n
 
-    def vp_loss(x: np.ndarray) -> float:
-        return _project(resid, x[0], x[1])[1]
+    def vp_residuals(x: np.ndarray) -> np.ndarray:
+        r = _project(resid, x[0], x[1])[1]
+        return np.concatenate([r.real, r.imag])
 
     starts = [
         np.array([w0 + dw, g])
@@ -279,7 +272,7 @@ def _fit_one_phasor(resid: np.ndarray, w0: float) -> Phasor:
         for g in (0.0, 1.0 / n)
     ]
     best = minimize_multistart(
-        vp_loss, starts,
+        vp_residuals, starts,
         np.array([w0 - 1.5 * bin_w, 0.0]), np.array([w0 + 1.5 * bin_w, np.inf]),
         np.array([bin_w, max(1.0 / n, 1e-6)]), maxfev=600,
     )
@@ -379,9 +372,8 @@ def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tu
     values = np.asarray(values, dtype=float)
     ns = np.arange(values.shape[0], dtype=float)
 
-    def lossfun(x: np.ndarray) -> float:
-        r = values - _single_frequency_model(x, ns)
-        return float(r @ r)
+    def residuals(x: np.ndarray) -> np.ndarray:
+        return values - _single_frequency_model(x, ns)
 
     amp = float(np.abs(values).max()) or 1.0
     starts = []
@@ -403,7 +395,7 @@ def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tu
     lower = np.array([-2.0, -4.0, 0.0, 0.0, -2.0 * math.pi, -4.0, 0.0])
     upper = np.array([2.0, 4.0, 1.2, math.pi, 2.0 * math.pi, 4.0, 1.2])
     scale = np.array([max(amp, 0.1), max(amp, 0.1), 1.0, max(w_seed, 0.05), 1.0, max(amp, 0.1), 1.0])
-    best = minimize_multistart(lossfun, starts, lower, upper, scale, maxfev=2500)
+    best = minimize_multistart(residuals, starts, lower, upper, scale, maxfev=2500)
     return best.x, best.fun
 
 
@@ -529,14 +521,3 @@ def density_profile(
     for r, s in zip(values, sigmas):
         out += np.exp(-0.5 * ((z - r) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
     return out / values.shape[0]
-
-
-@dataclass(frozen=True)
-class RatioSummary:
-    """Aggregated drive-dependence of one parameter at one theta_full."""
-
-    theta_full: float
-    parameter: str
-    aggregate: WeightedRatio
-    values: tuple[float, ...]
-    sigmas: tuple[float, ...]

@@ -264,7 +264,6 @@ def cmd_fit(args) -> int:
         starts=args.starts,
         seed=args.seed,
         m=args.m,
-        drop_ratio_cross_term=args.drop_ratio_cross_term,
     )
     fit = fit_model(args.model, records, fit_config)
     config = {

@@ -1,21 +1,23 @@
 """Least-squares noise-model fits to pseudoidentity record sets.
 
-The loss is the plain sum of squared differences between measured and
-predicted expectation values over every (n, basis) pair, if needed summed
-over a (theta_full, 0) pair of record sets with a configurable subset of
-parameters shared between the two ("joint fit").  Reported alongside is
+The residual vector holds the differences between measured and predicted
+expectation values over every (n, basis) pair, concatenated over a
+(theta_full, 0) pair of record sets with a configurable subset of parameters
+shared between the two ("joint fit").  The loss L is its sum of squares, and
+reported alongside is
 
     RMSE = sqrt(L / #points) ,
 
 whose floor for binomially sampled data sits at the per-record shot noise
 2 sqrt(p(1-p)/shots) ~ 1/sqrt(shots).
 
-Minimisation is multi-start Nelder-Mead over scaled parameters.  Start 0
-seeds frequencies from damped-phasor extraction of <sx> + i<sy> (idle
-precession advances the phase by 2 delta_omega per gate unit; a TLS splits
-it into 2(delta_omega +/- nu_zx)) and decay rates from the envelope; the
-remaining starts jitter those seeds.  Uncertainties follow from the central
-finite-difference Jacobian of the residual vector,
+Minimisation is multi-start bounded trust-region least squares on that
+residual vector (`optim.minimize_multistart`).  Start 0 seeds frequencies
+from damped-phasor extraction of <sx> + i<sy> (idle precession advances the
+phase by 2 delta_omega per gate unit; a TLS splits it into
+2(delta_omega +/- nu_zx)) and decay rates from the envelope; the remaining
+starts jitter those seeds.  Uncertainties follow from the central
+finite-difference Jacobian of the same residual vector,
 C = (J^T J)^{-1} L/(N-p).
 """
 
@@ -93,8 +95,6 @@ class FitConfig:
     starts: int = 16
     seed: int = 0
     m: int = 4
-    maxfev: int = 1600
-    drop_ratio_cross_term: bool = False
 
 
 @dataclass
@@ -382,6 +382,18 @@ def _jitter(seeds: dict[str, float], rng: np.random.Generator) -> dict[str, floa
 # ---------------------------------------------------------------------------
 # fitting
 
+def _residual_function(layout: _Layout, blocks: list[_ThetaBlock]):
+    """x -> measured minus predicted values over every block, flattened."""
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        params = layout.build(x)
+        return np.concatenate(
+            [(block.data - _predict_block(params[block.theta], block)).ravel() for block in blocks]
+        )
+
+    return residuals
+
+
 def fit_model(
     model: str,
     records: Sequence[ExperimentRecord],
@@ -390,8 +402,9 @@ def fit_model(
     """Fit one noise model to records of a single theta or a (theta, 0) pair.
 
     Joint fits share config.shared parameters across the pair.  Memory-kernel
-    (pmme) fits accept idle records only.  A fit that never converges within
-    the evaluation budget comes back flagged (converged=False), not raised.
+    (pmme) fits accept idle records only.  A fit whose winning start does not
+    converge within the evaluation budget comes back flagged
+    (converged=False), not raised.
     """
     if model not in PARAM_NAMES:
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(PARAM_NAMES)}")
@@ -405,14 +418,7 @@ def fit_model(
     if len(blocks) > 2:
         raise ValueError(f"fit one (theta, 0) pair at a time, got thetas {thetas}")
     layout = _make_layout(model, thetas, config)
-
-    def lossfun(x: np.ndarray) -> float:
-        params = layout.build(x)
-        total = 0.0
-        for block in blocks:
-            resid = block.data - _predict_block(params[block.theta], block)
-            total += float(np.sum(resid * resid))
-        return total
+    residuals = _residual_function(layout, blocks)
 
     base = _base_seeds(model, blocks, config)
     starts = [layout.vector(base)]
@@ -420,7 +426,7 @@ def fit_model(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
         starts.append(layout.vector(_jitter(base, rng)))
     lower, upper, scale = layout.bounds_and_scale(base)
-    best = minimize_multistart(lossfun, starts, lower, upper, scale, maxfev=config.maxfev)
+    best = minimize_multistart(residuals, starts, lower, upper, scale)
 
     n_points = sum(b.data.size for b in blocks)
     result = FitResult(
@@ -434,14 +440,7 @@ def fit_model(
         converged=bool(best.success),
         nfev=best.nfev,
     )
-
-    def residfun(x: np.ndarray) -> np.ndarray:
-        params = layout.build(x)
-        return np.concatenate(
-            [(block.data - _predict_block(params[block.theta], block)).ravel() for block in blocks]
-        )
-
-    jac = central_jacobian(residfun, best.x)
+    jac = central_jacobian(residuals, best.x)
     cov, sigma, degenerate = covariance_from_jacobian(jac, best.fun, n_points)
     result.covariance = cov
     result.sigmas = dict(zip(layout.names, sigma))
@@ -465,14 +464,7 @@ def estimate_uncertainty(
         raise ValueError(
             f"records/config imply free parameters {layout.names}, fit has {fit.free_names}"
         )
-
-    def residfun(x: np.ndarray) -> np.ndarray:
-        params = layout.build(x)
-        return np.concatenate(
-            [(block.data - _predict_block(params[block.theta], block)).ravel() for block in blocks]
-        )
-
-    jac = central_jacobian(residfun, fit.free_values)
+    jac = central_jacobian(_residual_function(layout, blocks), fit.free_values)
     cov, sigma, degenerate = covariance_from_jacobian(jac, fit.loss, fit.n_points)
     return replace(
         fit,
@@ -516,7 +508,7 @@ def parameter_ratios(fit: FitResult, drop_cross_term: bool = False) -> list[Rati
             out.append(RatioEstimate(base, theta, float("nan"), float("inf"), True))
             continue
         r = a / b
-        var = r * r * (sa2 / (a * a if a != 0 else np.inf) + sb2 / (b * b) - 2.0 * cab / (a * b if a != 0 else np.inf))
+        var = (sa2 + r * r * sb2 - 2.0 * r * cab) / (b * b)
         out.append(RatioEstimate(base, theta, float(r), math.sqrt(max(var, 0.0)), unstable))
     return out
 

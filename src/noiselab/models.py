@@ -112,7 +112,8 @@ class QubitTLSParams:
 class PMMEParams:
     """Markovian qubit parameters plus memory-kernel dephasing: weight gamma_z
     and kernel decay constant b.  b < -2 gamma_z makes the map non-contractive
-    (outside the physical region); it is representable but flagged by fits."""
+    (outside the physical region); it is representable, nothing flags it, and
+    fits leave b unbounded, so a free-b fit can land there."""
 
     delta_omega: float = 0.0
     gamma_ad: float = 0.0
@@ -300,12 +301,6 @@ def pmme_idle_bloch(params: PMMEParams, t: np.ndarray) -> np.ndarray:
         s = 0.5 * (params.b + 2.0 * params.gamma_z)
         d2 = s * s - 2.0 * params.gamma_z
     return _idle_bloch(t, params.delta_omega, params.gamma_ad, params.gamma_d, s, d2)
-
-
-def pmme_idle_analytic(params: PMMEParams, t: float) -> PauliVector:
-    """Exact idle solution of the memory-kernel equation at a single time t."""
-    cx, cy, cz = pmme_idle_bloch(params, np.array([float(t)]))[0]
-    return PauliVector(np.array([1.0, cx, cy, cz]))
 
 
 # ---------------------------------------------------------------------------

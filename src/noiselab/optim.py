@@ -1,11 +1,13 @@
 """Shared nonlinear least-squares machinery.
 
-All model fits in this package are small (2-11 parameter) smooth problems
-with nasty multimodality in the frequency directions, so the strategy is
-everywhere the same: scale parameters to O(1), run bounded Nelder-Mead from
-several seeds, then sharpen the best minimum with coordinate-wise quadratic
-polish.  Uncertainties come from a central finite-difference Jacobian of the
-residual vector at the optimum,
+All model fits in this package are small (2-11 parameter) smooth least-squares
+problems with nasty multimodality in the frequency directions, so the strategy
+is everywhere the same: from each of several starts, minimise the sum of
+squared residuals with the bounded trust-region reflective method of Branch,
+Coleman & Li (1999) (`scipy.optimize.least_squares`, method "trf") under the
+caller's box bounds and per-parameter scales, and keep the best start.
+Uncertainties come from a central finite-difference Jacobian of the residual
+vector at the optimum,
 
     C = (J^T J)^{-1} * L_min / (N - p) ,
 
@@ -18,66 +20,32 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
-
-# steps of the quadratic polish, in scaled (O(1)) coordinates
-_POLISH_STEPS = (1e-2, 1e-4, 1e-6)
+from scipy.optimize import least_squares
 
 
 @dataclass
 class MultistartResult:
     x: np.ndarray
-    fun: float
-    success: bool
-    nfev: int
-    start_values: list[float]
-
-
-def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def _polish(fun: Callable, x: np.ndarray, fx: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Coordinate-wise quadratic refinement; assumes scaled coordinates."""
-    nfev = 0
-    for h in _POLISH_STEPS:
-        for i in range(x.shape[0]):
-            xp, xm = x.copy(), x.copy()
-            xp[i] = min(x[i] + h, hi[i])
-            xm[i] = max(x[i] - h, lo[i])
-            if xp[i] == xm[i]:
-                continue
-            fp, fm = fun(xp), fun(xm)
-            nfev += 2
-            best = min(fp, fm)
-            curvature = fp - 2.0 * fx + fm
-            if curvature > 0 and np.isfinite(curvature):
-                delta = -0.5 * (fp - fm) / curvature * h
-                delta = float(np.clip(delta, -2.0 * h, 2.0 * h))
-                xn = x.copy()
-                xn[i] = float(np.clip(x[i] + delta, lo[i], hi[i]))
-                fn = fun(xn)
-                nfev += 1
-                if fn < fx:
-                    x, fx = xn, fn
-                    continue
-            if best < fx:
-                x, fx = (xp, fp) if fp <= fm else (xm, fm)
-    return x, fx, nfev
+    fun: float  # sum of squared residuals at x
+    success: bool  # whether the winning start met a convergence tolerance
+    nfev: int  # residual evaluations over all starts, Jacobian probes included
 
 
 def minimize_multistart(
-    fun: Callable[[np.ndarray], float],
+    residuals: Callable[[np.ndarray], np.ndarray],
     starts: Sequence[np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
     scale: np.ndarray | None = None,
     maxfev: int = 1600,
 ) -> MultistartResult:
-    """Bounded Nelder-Mead from each start, then quadratic polish of the best.
+    """Bounded trust-region least squares from each start; keep the best.
 
-    scale holds per-parameter magnitudes; optimisation runs on x/scale so the
-    simplex geometry is sane for parameters spanning decades.
+    residuals maps a parameter vector to a 1-d residual vector.  Starts are
+    clipped into [lower, upper]; a start whose residuals are not all finite
+    there is skipped, and ValueError is raised if no start is left.  scale
+    holds per-parameter magnitudes (the trust region's x_scale).  maxfev caps
+    the residual evaluations of each start, not counting Jacobian probes.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -87,42 +55,27 @@ def minimize_multistart(
     if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
         raise ValueError("scales must be positive and finite")
 
-    lo_s = lower / scale
-    hi_s = upper / scale
-
-    def fun_s(xs: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            value = fun(xs * scale)
-        if not np.isfinite(value):
-            return 1e300
-        return float(value)
-
-    best_x = None
-    best_f = np.inf
-    any_success = False
     nfev = 0
-    start_values = []
-    for x0 in starts:
-        x0_s = _clip(np.asarray(x0, dtype=float) / scale, lo_s, hi_s)
-        res = minimize(
-            fun_s,
-            x0_s,
-            method="Nelder-Mead",
-            bounds=Bounds(lo_s, hi_s),
-            options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-13, "adaptive": True},
-        )
-        nfev += res.nfev
-        start_values.append(float(res.fun))
-        any_success = any_success or bool(res.success)
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            best_x = np.asarray(res.x, dtype=float)
-    assert best_x is not None, "no starts supplied"
-    best_x, best_f, extra = _polish(fun_s, best_x, best_f, lo_s, hi_s)
-    nfev += extra
-    return MultistartResult(
-        x=best_x * scale, fun=best_f, success=any_success, nfev=nfev, start_values=start_values
-    )
+
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(residuals(x), dtype=float)
+
+    best = None
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for x0 in starts:
+            x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+            if not np.all(np.isfinite(counted(x0))):
+                continue
+            res = least_squares(
+                counted, x0, bounds=(lower, upper), x_scale=scale, method="trf", max_nfev=maxfev
+            )
+            if best is None or res.cost < best.cost:
+                best = res
+    if best is None:
+        raise ValueError("no start has finite residuals")
+    return MultistartResult(x=best.x, fun=2.0 * float(best.cost), success=bool(best.success), nfev=nfev)
 
 
 def central_jacobian(

@@ -340,6 +340,8 @@ def _record_from_strings(batch_id, timestamp, theta_full, n, basis, shots, expva
         shots=int(shots),
         expval=float(expval),
     )
+    if not (math.isfinite(rec.theta_full) and math.isfinite(rec.expval)):
+        raise ValueError(f"non-finite record: {rec}")
     if rec.n < 0 or rec.shots < 0 or abs(rec.expval) > 1.0:
         raise ValueError(f"record out of range: {rec}")
     return rec

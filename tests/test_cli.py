@@ -384,6 +384,13 @@ class TestParser:
                    "--out", str(tmp_path / "fit.json")])
         assert rc == 2
 
+    def test_non_finite_record_is_config_error(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("batch_id,timestamp,theta_full,n,basis,shots,expval\nb,0,0.0,0,X,16,nan\n")
+        rc = main(["fit", "--model", "markovian", "--data", str(path),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+
     def test_bad_freeze_syntax_is_config_error(self, tmp_path, idle_schedule):
         params = _write(tmp_path / "p.json", TLS_PARAMS)
         sim = str(tmp_path / "sim")

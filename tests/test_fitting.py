@@ -264,6 +264,13 @@ class TestRatios:
         (est,) = parameter_ratios(fit, drop_cross_term=True)
         assert est.sigma == pytest.approx(0.125, abs=1e-15)
 
+    def test_zero_numerator_keeps_its_sigma(self):
+        # r = 0: sigma^2 = (sa^2 + r^2 sb^2 - 2 r c) / b^2 = 0.04 / 0.25
+        fit = _handmade_joint_fit(num=0.0, den=0.5, var_num=0.04, var_den=0.01, cov_nd=0.0)
+        (est,) = parameter_ratios(fit)
+        assert est.value == 0.0
+        assert est.sigma == pytest.approx(0.4, abs=1e-15)
+
     def test_denominator_near_zero_flags_unstable(self):
         fit = _handmade_joint_fit(num=1.0, den=2.0, var_num=0.04, var_den=0.49, cov_nd=0.0)
         (est,) = parameter_ratios(fit)

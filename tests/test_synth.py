@@ -343,6 +343,23 @@ class TestRecordIO:
         with pytest.raises(ValueError, match="out of range"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("theta, expval", [("nan", "0.5"), ("inf", "0.5"), ("0.0", "nan"), ("0.0", "-inf")])
+    def test_non_finite_csv_values_rejected(self, tmp_path, theta, expval):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"batch_id,timestamp,theta_full,n,basis,shots,expval\nb,0,{theta},0,X,16,{expval}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("theta, expval", [("NaN", "0.5"), ("Infinity", "0.5"), ("0.0", "NaN")])
+    def test_non_finite_jsonl_values_rejected(self, tmp_path, theta, expval):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            f'{{"batch_id": "b", "timestamp": 0, "theta_full": {theta}, "n": 0, '
+            f'"basis": "X", "shots": 16, "expval": {expval}}}\n'
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            read_records_jsonl(path)
+
     def test_unknown_jsonl_key_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

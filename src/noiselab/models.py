@@ -170,39 +170,26 @@ def params_from_dict(data: dict) -> NoiseParams:
 # ---------------------------------------------------------------------------
 # generators
 
-def markovian_generator(
-    params: MarkovianParams, drive: float = 0.0, axis_phase: float = 0.0
-) -> GeneratorMatrix:
+def markovian_generator(params: MarkovianParams, drive: float = 0.0) -> GeneratorMatrix:
     """4x4 Pauli-coordinate generator for the driven Markovian qubit.
 
-    drive is the sigma_x Hamiltonian coefficient; a non-zero axis_phase gamma
-    rotates the drive axis to cos(gamma) sigma_x + sin(gamma) sigma_y (virtual
-    frame changes enter this way).
+    drive is the sigma_x Hamiltonian coefficient; its sign is the drive axis
+    (+x or -x), which is how the mirrored half of a pseudoidentity enters.
     """
-    ham = [
-        ("X", drive * math.cos(axis_phase)),
-        ("Y", drive * math.sin(axis_phase)),
-        ("Z", params.delta_omega),
-    ]
+    ham = [("X", drive), ("Z", params.delta_omega)]
     diss = [(L_AD, params.gamma_ad), ("Z", params.gamma_d)]
     return build_generator(ham, diss, 1)
 
 
-def qubit_tls_generator(
-    params: QubitTLSParams, drive: float = 0.0, axis_phase: float = 0.0
-) -> GeneratorMatrix:
+def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> GeneratorMatrix:
     """16x16 generator for qubit (x) TLS.
 
+    drive is the sigma_x (x) I coefficient, signed as in markovian_generator.
     Drive, detuning, and the qubit dissipators act on the qubit factor only;
     the TLS has no local Hamiltonian, couples through nu_zx sigma_z (x) tau_x,
     and relaxes at kappa.
     """
-    ham = [
-        ("XI", drive * math.cos(axis_phase)),
-        ("YI", drive * math.sin(axis_phase)),
-        ("ZI", params.delta_omega),
-        ("ZX", params.nu_zx),
-    ]
+    ham = [("XI", drive), ("ZI", params.delta_omega), ("ZX", params.nu_zx)]
     diss = [
         (np.kron(L_AD, np.eye(2)), params.gamma_ad),
         ("ZI", params.gamma_d),
@@ -284,12 +271,6 @@ def qubit_tls_idle_bloch(params: QubitTLSParams, t: np.ndarray) -> np.ndarray:
     s = params.kappa / 4.0
     d2 = s * s - 4.0 * params.nu_zx**2
     return _idle_bloch(t, params.delta_omega, params.gamma_ad, params.gamma_d, s, d2)
-
-
-def qubit_tls_idle_analytic(params: QubitTLSParams, t: float) -> PauliVector:
-    """Exact idle qubit marginal at a single time t."""
-    cx, cy, cz = qubit_tls_idle_bloch(params, np.array([float(t)]))[0]
-    return PauliVector(np.array([1.0, cx, cy, cz]))
 
 
 def pmme_idle_bloch(params: PMMEParams, t: np.ndarray) -> np.ndarray:

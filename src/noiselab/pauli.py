@@ -21,7 +21,6 @@ so that c_0 = 1 survives matrix exponentials bit-for-bit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,29 +264,15 @@ class PowerEngine:
         cond = np.linalg.cond(v)
         if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
             return
-        recon = (v * w) @ np.linalg.inv(v)
+        vinv = np.linalg.inv(v)
+        recon = (v * w) @ vinv
         scale = max(1.0, np.abs(self.matrix).max())
         if np.abs(recon - self.matrix).max() > 1e-10 * scale * cond:
             return
         self._w = w
         self._v = v
-        self._vinv = np.linalg.inv(v)
+        self._vinv = vinv
         self._use_eig = True
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        if self._use_eig:
-            return self._w.copy()
-        return np.linalg.eigvals(self.matrix)
-
-    def warn_if_noncontractive(self, tol: float = 1e-6) -> None:
-        grow = np.abs(self.eigenvalues).max()
-        if grow > 1.0 + tol:
-            warnings.warn(
-                f"superoperator has eigenvalue magnitude {grow:.6g} > 1; not CPTP",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     def states(self, ns: Sequence[int], c0: np.ndarray) -> np.ndarray:
         """Array of Lambda^n c0 over ns, shape (len(ns), dim); row trace pinned."""
@@ -308,20 +293,6 @@ class PowerEngine:
                 out[k] = np.linalg.matrix_power(self.matrix, int(n)) @ c0
         out[:, 0] = 1.0
         return out
-
-
-def repeat_apply(superop: Superoperator, n: int, state: PauliVector) -> PauliVector:
-    """Apply a superoperator n times (n >= 0); warns if the map is not CPTP."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"repetition count must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"repetition count must be non-negative, got {n}")
-    if state.q != superop.q:
-        raise ValueError("state dimension does not match superoperator")
-    engine = PowerEngine(superop.matrix)
-    engine.warn_if_noncontractive()
-    out = engine.states(np.array([int(n)]), state.coeffs)[0]
-    return PauliVector(out)
 
 
 def purity(state: PauliVector) -> float:

@@ -1,28 +1,28 @@
-"""Pseudoidentity gate sequences and their noisy superoperators.
+"""Pseudoidentity schedules and their noisy superoperators.
 
-One pseudoidentity repetition is the mirrored sequence
+One pseudoidentity repetition is m unit-duration x gates of angle
+theta_full / m followed by m gates of -theta_full / m.  In the experiment the
+sign flip is a virtual Z_pi between the halves (a second one closes the frame
+to 2 pi); a virtual Z is an instantaneous frame relabeling, so all it leaves
+behind is the sign of the drive.  Each half is therefore one constant
+Hamiltonian, drive +Omega or -Omega on sigma_x with Omega = theta_full / (2 m),
+and the noisy block is exactly two constant-drive propagators
 
-    [X(theta_gate)] * m  ->  Z_pi  ->  [X(theta_gate)] * m  ->  Z_pi ,
+    Lambda = exp(m L(-Omega)) exp(m L(+Omega)) .
 
-theta_gate = theta_full / m: each half rotates the qubit by theta_full about
-x, the virtual Z flips the drive axis so the second half undoes the first,
-and the two virtual Zs together are a full 2 pi frame rotation.  Ideally the
-whole block is the identity channel; coherent errors that do not commute with
-the mirroring (detuning delta_omega, TLS coupling) survive and accumulate
-over n repetitions.
-
-Every drive gate lasts one gate unit and carries the constant Hamiltonian
-Omega = theta_gate / 2 on the (frame-rotated) x axis; virtual Z gates are
-instantaneous frame relabelings.  Detuning and dissipation act during every
-drive gate, including zero-amplitude gates of an idle (theta_full = 0)
+Ideally the whole block is the identity channel; coherent errors that do not
+commute with the mirroring (detuning delta_omega, TLS coupling) survive and
+accumulate over n repetitions.  Detuning and dissipation act throughout both
+halves, including the zero-amplitude drive of an idle (theta_full = 0)
 sequence, so one idle pseudoidentity is exactly 2 m gate units of free decay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import expm
@@ -49,24 +49,12 @@ from .pauli import (
 BASES = ("X", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """One scheduled gate: a finite-duration x drive or an instantaneous
-    virtual-Z frame rotation.  frame_phase is the accumulated virtual phase in
-    effect when the gate plays."""
-
-    kind: str  # "drive_x" | "virtual_z"
-    theta: float
-    duration: float
-    frame_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("drive_x", "virtual_z"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "virtual_z" and self.duration != 0.0:
-            raise ValueError("virtual-Z gates are instantaneous")
-        if self.kind == "drive_x" and self.duration <= 0.0:
-            raise ValueError("drive gates need positive duration")
+def _count(value, what: str) -> int:
+    """value as an int; anything but an integral real number (a bool included)
+    raises ValueError rather than being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -79,11 +67,13 @@ class PseudoidentitySchedule:
     bases: tuple[str, ...] = BASES
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        m = _count(self.m, "m")
+        if m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", m)
         if not math.isfinite(self.theta_full):
             raise ValueError("theta_full must be finite")
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(_count(n, "repetition count") for n in self.n_values)
         if len(ns) == 0:
             raise ValueError("n_values must be non-empty")
         if any(n < 0 for n in ns):
@@ -99,7 +89,7 @@ class PseudoidentitySchedule:
 
     @property
     def duration(self) -> float:
-        """Gate units per pseudoidentity repetition (virtual Zs are free)."""
+        """Gate units per pseudoidentity repetition: two halves of m."""
         return 2.0 * self.m
 
     @property
@@ -124,89 +114,34 @@ class PseudoidentitySchedule:
             raise ValueError("schedule needs theta_full and n_values")
         return cls(
             theta_full=float(data["theta_full"]),
-            n_values=tuple(int(n) for n in data["n_values"]),
-            m=int(data.get("m", 4)),
+            n_values=tuple(data["n_values"]),
+            m=data.get("m", 4),
             bases=tuple(data.get("bases", BASES)),
         )
-
-
-def build_pseudoidentity(theta_full: float, m: int) -> list[GateSpec]:
-    """Gate list of one pseudoidentity repetition (2 m drives + 2 virtual Zs)."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not math.isfinite(theta_full):
-        raise ValueError("theta_full must be finite")
-    theta_gate = theta_full / m
-    first = [GateSpec("drive_x", theta_gate, 1.0, frame_phase=0.0) for _ in range(m)]
-    second = [GateSpec("drive_x", theta_gate, 1.0, frame_phase=math.pi) for _ in range(m)]
-    return (
-        first
-        + [GateSpec("virtual_z", math.pi, 0.0, frame_phase=0.0)]
-        + second
-        + [GateSpec("virtual_z", math.pi, 0.0, frame_phase=math.pi)]
-    )
-
-
-def virtual_z_superoperator(phi: float, q: int) -> Superoperator:
-    """Exact Bloch rotation by phi about z on the qubit factor, zero duration."""
-    c, s = math.cos(phi), math.sin(phi)
-    r4 = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, -s, 0.0],
-            [0.0, s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    if q == 1:
-        return Superoperator(r4, 0.0)
-    if q == 2:
-        return Superoperator(np.kron(r4, np.eye(4)), 0.0)
-    raise ValueError(f"q must be 1 or 2, got {q}")
-
-
-def _drive_superoperator(params: NoiseParams, gate: GateSpec) -> Superoperator:
-    omega = gate.theta / 2.0  # rotation theta over unit duration
-    if isinstance(params, MarkovianParams):
-        gen = markovian_generator(params, omega, gate.frame_phase)
-    elif isinstance(params, QubitTLSParams):
-        gen = qubit_tls_generator(params, omega, gate.frame_phase)
-    else:
-        raise UnsupportedModelError(
-            "memory-kernel dynamics has no per-gate superoperator; "
-            "only idle trajectories are defined for PMME parameters"
-        )
-    return propagate(gen, gate.duration)
 
 
 def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule) -> Superoperator:
     """Superoperator of one full pseudoidentity repetition under the noise model.
 
-    Markovian params give a 4x4 map, qubit-TLS a 16x16 map; memory-kernel
-    (PMME) params are rejected since the kernel does not factor into gates.
-    Virtual-Z entries are frame bookkeeping, not physical operations: their
-    rotation already lives in the frame_phase of the later drives, and the
-    frame accumulated over one full block is 2 pi, so no closing relabel of
-    the measurement axes is needed either.
+    The block is exp(m L(-Omega)) exp(m L(+Omega)): m unit gates at drive
+    +Omega, then m at -Omega, Omega = theta_full / (2 m).  Markovian params
+    give a 4x4 map, qubit-TLS a 16x16 map; memory-kernel (PMME) params are
+    rejected since the kernel does not factor into gates.
     """
-    if isinstance(params, PMMEParams):
+    if isinstance(params, MarkovianParams):
+        generator = markovian_generator
+    elif isinstance(params, QubitTLSParams):
+        generator = qubit_tls_generator
+    else:
         raise UnsupportedModelError(
             "memory-kernel dynamics has no per-gate superoperator; "
             "only idle trajectories are defined for PMME parameters"
         )
-    gates = build_pseudoidentity(schedule.theta_full, schedule.m)
-    cache: dict[tuple, Superoperator] = {}
-    total: Superoperator | None = None
-    for gate in gates:
-        if gate.kind == "virtual_z":
-            continue
-        key = (gate.theta, gate.duration, gate.frame_phase)
-        if key not in cache:
-            cache[key] = _drive_superoperator(params, gate)
-        sup = cache[key]
-        total = sup if total is None else sup @ total
-    assert total is not None
-    return total
+    m = schedule.m
+    omega = schedule.theta_full / (2.0 * m)
+    first = propagate(generator(params, omega), m)
+    second = propagate(generator(params, -omega), m)
+    return second @ first
 
 
 def _initial_state(params: NoiseParams) -> PauliVector:

@@ -391,6 +391,15 @@ class TestParser:
                    "--out", str(tmp_path / "fit.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [{"m": 4.5}, {"m": True}, {"n_values": [0, 2.5, 7.9]}])
+    def test_non_integral_schedule_count_is_config_error(self, tmp_path, bad):
+        params = _write(tmp_path / "p.json", MARKOV_PARAMS)
+        sched = _write(tmp_path / "s.json", {"theta_full": 0.0, "n_values": IDLE_N, **bad})
+        rc = main(["simulate", "--params", params, "--schedule", sched,
+                   "--shots", "0", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert not list(tmp_path.glob("run*"))
+
     def test_bad_freeze_syntax_is_config_error(self, tmp_path, idle_schedule):
         params = _write(tmp_path / "p.json", TLS_PARAMS)
         sim = str(tmp_path / "sim")

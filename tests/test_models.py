@@ -22,7 +22,6 @@ from noiselab.models import (
     pmme_idle_bloch,
     pmme_numeric_oracle,
     qubit_tls_generator,
-    qubit_tls_idle_analytic,
     qubit_tls_idle_bloch,
 )
 from noiselab.oracles import evolve_state
@@ -152,11 +151,12 @@ def test_tls_beat_structure_kappa_zero():
 
 
 def test_tls_analytic_single_time():
+    # a scalar time gives one row, equal to the engine's qubit marginal
     p = QubitTLSParams(delta_omega=0.1, gamma_ad=0.01, gamma_d=0.005, nu_zx=0.03, kappa=0.08)
-    state = qubit_tls_idle_analytic(p, 12.0)
-    ref = qubit_tls_idle_bloch(p, np.array([12.0]))[0]
-    assert np.allclose(state.coeffs[1:], ref, atol=1e-14)
-    assert state.coeffs[0] == 1.0
+    bloch = qubit_tls_idle_bloch(p, 12.0)
+    full = propagate(qubit_tls_generator(p), 12.0).apply(PauliVector.plus_tls_ground())
+    assert bloch.shape == (1, 3)
+    assert np.allclose(bloch[0], full.coeffs[[4, 8, 12]], atol=1e-12)
 
 
 def test_engine_marginal_matches_partial_trace():

@@ -1,7 +1,5 @@
 """Pauli-coordinate plumbing: bases, generators, propagation, powers."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from noiselab.pauli import (
     pauli_string_matrix,
     propagate,
     purity,
-    repeat_apply,
 )
 
 L_AD = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -113,31 +110,47 @@ def test_superoperator_composition_order():
     assert np.allclose(ab.coeffs, manual.coeffs, atol=1e-14)
 
 
-def test_power_engine_matches_repeat_apply():
+def test_power_engine_matches_matrix_power():
     gen = build_generator([("Z", 0.11)], [(L_AD, 0.02), (SIGMA_Z, 0.01)], 1)
     sup = propagate(gen, 8.0)
     engine = PowerEngine(sup.matrix)
+    assert engine._use_eig
     ns = np.array([0, 1, 5, 17])
-    states = engine.states(ns, PauliVector.plus().coeffs)
+    c0 = PauliVector.plus().coeffs
+    states = engine.states(ns, c0)
     for row, n in zip(states, ns):
-        ref = repeat_apply(sup, int(n), PauliVector.plus())
-        assert np.allclose(row, ref.coeffs, atol=1e-10)
+        ref = np.linalg.matrix_power(sup.matrix, int(n)) @ c0
+        assert np.allclose(row, ref, atol=1e-10)
         assert row[0] == 1.0
 
 
-def test_power_engine_warns_on_expansion():
+def test_power_engine_fallback_matches_matrix_power():
+    # a Jordan block has no eigenvector basis, so the engine must take the
+    # matrix_power route
     mat = np.eye(4)
-    mat[1, 1] = 1.02  # grows the x component
-    with pytest.warns(RuntimeWarning):
-        PowerEngine(mat).warn_if_noncontractive()
+    mat[1, 1] = mat[2, 2] = 0.9
+    mat[1, 2] = 1.0
+    engine = PowerEngine(mat)
+    assert not engine._use_eig
+    ns = np.array([0, 1, 2, 7, 30])
+    c0 = np.array([1.0, 0.2, -0.5, 0.3])
+    states = engine.states(ns, c0)
+    for row, n in zip(states, ns):
+        assert np.array_equal(row, np.linalg.matrix_power(mat, int(n)) @ c0)
 
 
-def test_repeat_apply_validates_n():
+def test_power_engine_validates_n():
     sup = propagate(build_generator([("Z", 0.1)], [], 1), 1.0)
+    engine = PowerEngine(sup.matrix)
+    c0 = PauliVector.plus().coeffs
     with pytest.raises(ValueError):
-        repeat_apply(sup, -1, PauliVector.plus())
+        engine.states(np.array([-1]), c0)
     with pytest.raises(ValueError):
-        repeat_apply(sup, 1.5, PauliVector.plus())
+        engine.states(np.array([1.5]), c0)
+    with pytest.raises(ValueError):
+        engine.states(np.array([True]), c0)
+    with pytest.raises(ValueError):
+        engine.states(np.array([[1]]), c0)
 
 
 def test_purity_values():
@@ -192,5 +205,5 @@ def test_two_state_distance_contracts(seed, t):
 def test_c0_pinned_under_powers(seed, n):
     gen = _random_generator(seed)
     sup = propagate(gen, 3.0)
-    out = repeat_apply(sup, n, PauliVector.plus())
-    assert out.coeffs[0] == 1.0
+    out = PowerEngine(sup.matrix).states(np.array([n]), PauliVector.plus().coeffs)
+    assert out[0, 0] == 1.0

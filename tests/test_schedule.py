@@ -1,27 +1,30 @@
-"""Pseudoidentity schedules: gate structure, echo identities, error scaling."""
+"""Pseudoidentity schedules: validation, the two-half block, echo identities,
+error scaling."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import draw_markovian, draw_qubit_tls
 from noiselab.models import (
     MarkovianParams,
     PMMEParams,
     QubitTLSParams,
     UnsupportedModelError,
+    markovian_generator,
     markovian_idle_bloch,
     pmme_idle_bloch,
+    qubit_tls_generator,
     qubit_tls_idle_bloch,
 )
-from noiselab.pauli import PauliVector, propagate, repeat_apply
+from noiselab.pauli import PauliVector, propagate
 from noiselab.schedule import (
     PseudoidentitySchedule,
-    build_pseudoidentity,
     predict_trajectory,
     pseudoidentity_unitary,
     schedule_superoperator,
-    virtual_z_superoperator,
 )
 
 NOISELESS_M = MarkovianParams(delta_omega=0.0, gamma_ad=0.0, gamma_d=0.0)
@@ -33,17 +36,7 @@ def _sched(theta, n_values=(0, 1, 2), m=4):
 
 
 # ---------------------------------------------------------------------------
-# structure
-
-def test_gate_list_structure():
-    gates = build_pseudoidentity(2.0, m=4)
-    kinds = [g.kind for g in gates]
-    assert kinds == ["drive_x"] * 4 + ["virtual_z"] + ["drive_x"] * 4 + ["virtual_z"]
-    assert all(g.theta == pytest.approx(0.5) for g in gates if g.kind == "drive_x")
-    frames = [g.frame_phase for g in gates if g.kind == "drive_x"]
-    assert frames == [0.0] * 4 + [math.pi] * 4
-    assert sum(g.duration for g in gates) == 8.0
-
+# validation
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
@@ -66,11 +59,55 @@ def test_schedule_dict_roundtrip():
         PseudoidentitySchedule.from_dict({"theta_full": 1.0, "n_values": [0], "junk": 1})
 
 
-def test_virtual_z_rotates_bloch():
-    sup = virtual_z_superoperator(math.pi / 2, 1)
-    out = sup.apply(PauliVector.plus())
-    assert np.allclose(out.coeffs, [1.0, 0.0, 1.0, 0.0], atol=1e-14)
-    assert sup.duration == 0.0
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_values": (0, 2.5, 7.9)},
+        {"n_values": (0, True)},
+        {"n_values": (0, "3")},
+        {"n_values": (0, math.inf)},
+        {"m": 4.5},
+        {"m": True},
+        {"m": np.bool_(True)},
+        {"m": 0},
+    ],
+)
+def test_schedule_rejects_non_integral_counts(kwargs):
+    with pytest.raises(ValueError):
+        PseudoidentitySchedule(**{"theta_full": 1.0, "n_values": (0, 1), **kwargs})
+
+
+def test_schedule_accepts_integral_numbers():
+    s = PseudoidentitySchedule(theta_full=1.0, n_values=(np.int64(0), 3.0), m=2.0)
+    assert s.n_values == (0, 3) and s.m == 2
+    assert all(type(n) is int for n in s.n_values) and type(s.m) is int
+
+
+# ---------------------------------------------------------------------------
+# the two-half block against the gate-by-gate product
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    tls=st.booleans(),
+    theta=st.floats(-4 * math.pi, 4 * math.pi),
+    m=st.integers(1, 8),
+)
+def test_block_equals_gate_by_gate_product(seed, tls, theta, m):
+    rng = np.random.default_rng(seed)
+    if tls:
+        params, generator = draw_qubit_tls(rng), qubit_tls_generator
+    else:
+        params, generator = draw_markovian(rng), markovian_generator
+    omega = theta / (2 * m)
+    plus = propagate(generator(params, omega), 1.0).matrix
+    minus = propagate(generator(params, -omega), 1.0).matrix
+    slow = np.eye(plus.shape[0])
+    for gate in [plus] * m + [minus] * m:
+        slow = gate @ slow
+    sup = schedule_superoperator(params, _sched(theta, m=m))
+    assert sup.duration == 2 * m
+    assert np.max(np.abs(sup.matrix - slow)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +121,6 @@ def test_noiseless_pseudoidentity_is_identity(theta):
 
 def test_idle_pseudoidentity_equals_free_evolution():
     p = MarkovianParams(delta_omega=0.05, gamma_ad=0.003, gamma_d=0.007)
-    from noiselab.models import markovian_generator
-
     sup = schedule_superoperator(p, _sched(0.0))
     idle = propagate(markovian_generator(p), 8.0)
     assert np.max(np.abs(sup.matrix - idle.matrix)) < 1e-12
@@ -113,14 +148,15 @@ def test_drive_rescales_detuning_by_sinc():
         assert phase == pytest.approx(expected, rel=0.05)
 
 
-def test_trajectory_matches_repeat_apply():
+def test_trajectory_matches_matrix_power():
     p = QubitTLSParams(delta_omega=0.01, gamma_ad=0.001, gamma_d=0.002, nu_zx=0.03, kappa=0.05)
     sched = _sched(1.5, n_values=(0, 3, 11))
     traj = predict_trajectory(p, sched)
     sup = schedule_superoperator(p, sched)
+    c0 = PauliVector.plus_tls_ground().coeffs
     for n in sched.n_values:
-        ref = repeat_apply(sup, n, PauliVector.plus_tls_ground())
-        assert np.allclose(traj[n], ref.coeffs[[4, 8, 12]], atol=1e-9)
+        ref = np.linalg.matrix_power(sup.matrix, n) @ c0
+        assert np.allclose(traj[n], ref[[4, 8, 12]], atol=1e-9)
 
 
 def test_idle_trajectory_matches_closed_forms():

@@ -45,6 +45,10 @@ from .optim import central_jacobian, covariance_from_jacobian, minimize_multista
 from .synth import ExperimentRecord
 
 _SIGMA_FLOOR = 1e-12
+# a periodogram peak counts when it exceeds this many shot-noise floors
+_PEAK_SIGMAS = 5.0
+# most cyclic refits of every component after a new one is added
+_REFINE_PASSES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,6 @@ def extract_phasors(
     z: np.ndarray,
     threshold: float,
     max_components: int = 4,
-    refine_passes: int = 6,
 ) -> tuple[list[Phasor], np.ndarray]:
     """Fit and subtract damped phasors from a complex series.
 
@@ -318,7 +321,7 @@ def extract_phasors(
         comps.append(_fit_one_phasor(resid, 2.0 * math.pi * k / n))
         if len(comps) > 1:
             prev = np.inf
-            for _ in range(refine_passes):
+            for _ in range(_REFINE_PASSES):
                 for i in range(len(comps)):
                     comps[i] = _fit_one_phasor(z - reconstruct(skip=i), comps[i].omega)
                 norm = float(np.linalg.norm(z - reconstruct()))
@@ -329,9 +332,7 @@ def extract_phasors(
     return comps, z - reconstruct()
 
 
-def count_frequencies(
-    z: np.ndarray, shots: int, threshold_mult: float = 5.0
-) -> tuple[int, list[float]]:
+def count_frequencies(z: np.ndarray, shots: int) -> tuple[int, list[float]]:
     """Number of distinct oscillation frequencies |omega| in a complex series.
 
     Components below half a frequency bin (pure decays, offsets) do not
@@ -343,7 +344,7 @@ def count_frequencies(
     if n < 2:
         return 0, []
     floor = shot_noise_rmse(shots) / math.sqrt(n) if shots > 0 else 1e-8
-    comps, _ = extract_phasors(z, threshold_mult * floor)
+    comps, _ = extract_phasors(z, _PEAK_SIGMAS * floor)
     omega_min = math.pi / n
     bin_w = 2.0 * math.pi / n
     freqs = sorted(abs(c.omega) for c in comps if abs(c.omega) >= omega_min)
@@ -430,19 +431,12 @@ def detect_nonmarkovianity(
     span = int(ns[-1] - ns[0]) + 1 if ns.shape[0] > 1 else ns.shape[0]
     shots = _records_shots(records)
     noise = shot_noise_rmse(shots)
-    if span < 8 or ns.shape[0] < 4:
+    if span < 8 or ns.shape[0] < 4 or np.ptp(np.diff(ns)) != 0:
         return NonMarkovianityReport(
             verdict="inconclusive", purity=None, frequency_count=0, frequencies=(),
             form_residual=float("nan"), shot_rmse=noise, n_points=ns.shape[0],
         )
-    steps = np.diff(ns)
-    if not np.all(steps == steps[0]):
-        return NonMarkovianityReport(
-            verdict="inconclusive", purity=None, frequency_count=0, frequencies=(),
-            form_residual=float("nan"), shot_rmse=noise, n_points=ns.shape[0],
-        )
-    dn = int(steps[0])
-    period = 2.0 * m * dn  # gate units per sample
+    period = 2.0 * m * int(ns[1] - ns[0])  # gate units per sample
 
     purity = fit_purity(records, m=m)
 
@@ -450,7 +444,7 @@ def detect_nonmarkovianity(
     count, freqs_sample = count_frequencies(z, shots)
     freqs = tuple(f / period for f in freqs_sample)
 
-    seeds, _ = extract_phasors(z, threshold=max(5.0 * noise / math.sqrt(ns.shape[0]), 1e-8))
+    seeds, _ = extract_phasors(z, threshold=max(_PEAK_SIGMAS * noise / math.sqrt(ns.shape[0]), 1e-8))
     _, form_loss = fit_single_frequency(bloch[:, 0], seeds)
     form_residual = math.sqrt(form_loss / ns.shape[0])
 

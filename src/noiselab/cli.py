@@ -6,8 +6,9 @@ wall-clock state enters, and JSON is dumped with sorted keys, so reruns are
 byte-identical.  Work runs sequentially in deterministic key order (batch,
 theta); fits are cheap enough that a pool would only buy output-order risk.
 
-Exit codes: 0 success, 2 configuration/file errors, 3 model/schedule
-incompatibility, 4 fit did not converge (the report is still written).
+Exit codes: 0 success, 1 an oracle check failed, 2 configuration/file
+errors, 3 model/schedule incompatibility, 4 fit did not converge (the report
+is still written).
 """
 
 from __future__ import annotations
@@ -30,24 +31,16 @@ from .analysis import (
 )
 from .fitting import FitConfig, PARAM_NAMES, fit_model, fit_to_dict, parameter_ratios
 from .models import (
-    MarkovianParams,
-    PMMEParams,
     QubitTLSParams,
     UnsupportedModelError,
     effective_dephasing,
     map_pmme_to_qubit_tls,
     map_qubit_tls_to_pmme,
-    markovian_generator,
     model_tag,
     params_from_dict,
     params_to_dict,
-    pmme_idle_bloch,
-    pmme_numeric_oracle,
-    qubit_tls_generator,
-    qubit_tls_idle_bloch,
 )
-from .oracles import evolve_state
-from .pauli import PauliVector, PowerEngine, propagate
+from .oracles import CHECKS
 from .schedule import PseudoidentitySchedule
 from .synth import (
     DriftProcess,
@@ -63,6 +56,7 @@ from .synth import (
 SCHEMA = 1
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NO_CONVERGENCE = 4
@@ -496,89 +490,11 @@ def cmd_map_models(args) -> int:
 # ---------------------------------------------------------------------------
 # oracle
 
-def _oracle_markovian(rng, draws):
-    worst = 0.0
-    for _ in range(draws):
-        p = MarkovianParams(
-            delta_omega=rng.uniform(-0.5, 0.5),
-            gamma_ad=rng.uniform(0.0, 0.1),
-            gamma_d=rng.uniform(0.0, 0.1),
-        )
-        gen = markovian_generator(p)
-        h = p.delta_omega * np.array([[1.0, 0.0], [0.0, -1.0]])
-        jumps = [(np.array([[0.0, 1.0], [0.0, 0.0]]), p.gamma_ad),
-                 (np.array([[1.0, 0.0], [0.0, -1.0]]), p.gamma_d)]
-        for t in (0.7, 5.0, 20.0):
-            ours = propagate(gen, t).apply(PauliVector.plus())
-            ref = evolve_state(h, jumps, PauliVector.plus(), t)
-            worst = max(worst, float(np.max(np.abs(ours.coeffs - ref.coeffs))))
-    return worst
-
-
-def _oracle_tls_closed_form(rng, draws):
-    worst = 0.0
-    for _ in range(draws):
-        p = QubitTLSParams(
-            delta_omega=rng.uniform(-0.3, 0.3),
-            gamma_ad=rng.uniform(0.0, 0.02),
-            gamma_d=rng.uniform(0.0, 0.02),
-            nu_zx=rng.uniform(0.0, 0.2),
-            kappa=rng.uniform(0.0, 0.2),
-        )
-        t = np.linspace(0.0, 200.0, 41)
-        engine = PowerEngine(propagate(qubit_tls_generator(p), 1.0).matrix)
-        states = engine.states(np.arange(0, 201, 5), PauliVector.plus_tls_ground().coeffs)
-        ours = states[:, [4, 8, 12]]
-        ref = qubit_tls_idle_bloch(p, t)
-        worst = max(worst, float(np.max(np.abs(ours - ref))))
-    return worst
-
-
-def _oracle_mapped(rng, draws):
-    worst = 0.0
-    for _ in range(draws):
-        p = QubitTLSParams(
-            delta_omega=rng.uniform(-0.3, 0.3),
-            gamma_ad=0.0,
-            gamma_d=rng.uniform(0.0, 0.02),
-            nu_zx=rng.uniform(0.0, 0.2),
-            kappa=rng.uniform(0.0, 0.2),
-        )
-        t = np.linspace(0.0, 100.0, 101)
-        dev = np.max(np.abs(qubit_tls_idle_bloch(p, t) - pmme_idle_bloch(map_qubit_tls_to_pmme(p), t)))
-        worst = max(worst, float(dev))
-    return worst
-
-
-def _oracle_pmme(rng, draws):
-    worst = 0.0
-    for _ in range(draws):
-        gamma_z = rng.uniform(0.0, 0.05)
-        p = PMMEParams(
-            delta_omega=rng.uniform(-0.3, 0.3),
-            gamma_ad=rng.uniform(0.0, 0.02),
-            gamma_d=rng.uniform(0.0, 0.02),
-            gamma_z=gamma_z,
-            b=rng.uniform(-2.0 * gamma_z, 0.1),
-        )
-        t = np.arange(0.0, 10.0 + 1e-12, 0.01)
-        numeric = np.array([s.coeffs[1:] for s in pmme_numeric_oracle(p, t)])
-        exact = pmme_idle_bloch(p, t)
-        worst = max(worst, float(np.max(np.abs(numeric - exact))))
-    return worst
-
-
 def cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed)
-    checks = [
-        ("markovian-engine-vs-rk4", _oracle_markovian, 1e-8),
-        ("qubit-tls-engine-vs-closed-form", _oracle_tls_closed_form, 1e-8),
-        ("tls-pmme-mapped-equivalence", _oracle_mapped, 1e-9),
-        ("pmme-closed-form-vs-kernel-integration", _oracle_pmme, 1e-5),
-    ]
     rows = []
     all_pass = True
-    for name, run, tol in checks:
+    for name, run, tol in CHECKS:
         dev = run(rng, args.draws)
         ok = dev < tol
         all_pass = all_pass and ok
@@ -586,7 +502,7 @@ def cmd_oracle(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name:42s} max dev {dev:.3e}  (tol {tol:.0e})")
     if args.out:
         _dump_json({"schema": SCHEMA, "seed": args.seed, "draws": args.draws, "checks": rows}, args.out)
-    return EXIT_OK if all_pass else 1
+    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ phase by 2 delta_omega per gate unit; a TLS splits it into
 2(delta_omega +/- nu_zx)) and decay rates from the envelope; the remaining
 starts jitter those seeds.  Uncertainties follow from the central
 finite-difference Jacobian of the same residual vector,
-C = (J^T J)^{-1} L/(N-p).
+C = (J^T J)^{-1} L/(N-p); rates are clamped at zero while probing, so a
+sigma at an active bound is one-sided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,8 +109,8 @@ class FitResult:
     n_points: int
     converged: bool
     nfev: int
-    covariance: np.ndarray | None = None
-    sigmas: dict[str, float] | None = None
+    covariance: np.ndarray
+    sigmas: dict[str, float]
     degenerate: bool = False
 
     @property
@@ -117,6 +118,12 @@ class FitResult:
         if len(self.params_by_theta) != 1:
             raise ValueError("joint fit: use params_by_theta")
         return next(iter(self.params_by_theta.values()))
+
+    @property
+    def physical(self) -> bool:
+        """False when a fitted memory kernel is non-contractive, b < -2 gamma_z."""
+        return all(not isinstance(p, PMMEParams) or p.b >= -2.0 * p.gamma_z
+                   for p in self.params_by_theta.values())
 
 
 @dataclass(frozen=True)
@@ -429,7 +436,9 @@ def fit_model(
     best = minimize_multistart(residuals, starts, lower, upper, scale)
 
     n_points = sum(b.data.size for b in blocks)
-    result = FitResult(
+    jac = central_jacobian(residuals, best.x)
+    cov, sigma, degenerate = covariance_from_jacobian(jac, best.fun, n_points)
+    return FitResult(
         model=model,
         params_by_theta=layout.build(best.x),
         free_names=layout.names,
@@ -439,37 +448,8 @@ def fit_model(
         n_points=n_points,
         converged=bool(best.success),
         nfev=best.nfev,
-    )
-    jac = central_jacobian(residuals, best.x)
-    cov, sigma, degenerate = covariance_from_jacobian(jac, best.fun, n_points)
-    result.covariance = cov
-    result.sigmas = dict(zip(layout.names, sigma))
-    result.degenerate = bool(degenerate)
-    return result
-
-
-def estimate_uncertainty(
-    fit: FitResult, records: Sequence[ExperimentRecord], config: FitConfig | None = None
-) -> FitResult:
-    """Recompute covariance and sigmas of an existing fit at its optimum.
-
-    The residual Jacobian is evaluated by central differences with step
-    max(1e-6, 1e-4 |x_i|); rates are clamped at zero during probing, so a
-    sigma at an active bound is effectively one-sided.
-    """
-    config = config or FitConfig()
-    blocks = _build_blocks(records, config.m)
-    layout = _make_layout(fit.model, [b.theta for b in blocks], config)
-    if layout.names != fit.free_names:
-        raise ValueError(
-            f"records/config imply free parameters {layout.names}, fit has {fit.free_names}"
-        )
-    jac = central_jacobian(_residual_function(layout, blocks), fit.free_values)
-    cov, sigma, degenerate = covariance_from_jacobian(jac, fit.loss, fit.n_points)
-    return replace(
-        fit,
         covariance=cov,
-        sigmas=dict(zip(fit.free_names, sigma)),
+        sigmas=dict(zip(layout.names, sigma)),
         degenerate=bool(degenerate),
     )
 
@@ -484,8 +464,6 @@ def parameter_ratios(fit: FitResult, drop_cross_term: bool = False) -> list[Rati
     thetas = sorted(fit.params_by_theta)
     if len(thetas) != 2 or 0.0 not in thetas:
         raise ValueError("ratios need a joint (theta, 0) fit")
-    if fit.covariance is None or fit.sigmas is None:
-        raise ValueError("fit carries no covariance; run estimate_uncertainty first")
     theta = [t for t in thetas if t != 0.0][0]
     index = {name: i for i, name in enumerate(fit.free_names)}
     out = []
@@ -517,7 +495,7 @@ def parameter_ratios(fit: FitResult, drop_cross_term: bool = False) -> list[Rati
 # serialisation
 
 def fit_to_dict(fit: FitResult) -> dict:
-    out = {
+    return {
         "model": fit.model,
         "params_by_theta": {repr(t): params_to_dict(p) for t, p in fit.params_by_theta.items()},
         "free_names": list(fit.free_names),
@@ -528,9 +506,7 @@ def fit_to_dict(fit: FitResult) -> dict:
         "converged": bool(fit.converged),
         "nfev": fit.nfev,
         "degenerate": bool(fit.degenerate),
+        "physical": fit.physical,
+        "sigmas": {k: float(v) for k, v in fit.sigmas.items()},
+        "covariance": [[float(v) for v in row] for row in fit.covariance],
     }
-    if fit.sigmas is not None:
-        out["sigmas"] = {k: float(v) for k, v in fit.sigmas.items()}
-    if fit.covariance is not None:
-        out["covariance"] = [[float(v) for v in row] for row in fit.covariance]
-    return out

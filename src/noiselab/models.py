@@ -36,6 +36,7 @@ coherences pick up exp(-gamma_ad t / 2) and c_z(t) = 1 - e^{-gamma_ad t}.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -57,17 +58,20 @@ class UnsupportedModelError(ValueError):
     (e.g. memory-kernel propagation of a driven schedule)."""
 
 
-def _check_rate(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return value
-
-
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+def _check_finite(name: str, value) -> float:
+    """value as a float; a bool, a string or a non-finite number raises
+    ValueError rather than being coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"non-finite {name}: {value!r}")
+    return float(value)
+
+
+def _check_rate(name: str, value) -> float:
+    value = _check_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 
 
@@ -112,8 +116,9 @@ class QubitTLSParams:
 class PMMEParams:
     """Markovian qubit parameters plus memory-kernel dephasing: weight gamma_z
     and kernel decay constant b.  b < -2 gamma_z makes the map non-contractive
-    (outside the physical region); it is representable, nothing flags it, and
-    fits leave b unbounded, so a free-b fit can land there."""
+    (outside the physical region).  It is representable and fits leave b
+    unbounded, so a free-b fit can land there; FitResult.physical is then
+    False."""
 
     delta_omega: float = 0.0
     gamma_ad: float = 0.0

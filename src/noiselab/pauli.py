@@ -99,12 +99,6 @@ class PauliVector:
         """Qubit |+> with the TLS in |0>, as a q=2 product state."""
         return cls(np.kron([1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]))
 
-    def bloch(self) -> np.ndarray:
-        """(c_x, c_y, c_z) for a single qubit."""
-        if self.q != 1:
-            raise ValueError("bloch() is defined for q = 1 only")
-        return self.coeffs[1:].copy()
-
 
 def density_matrix(state: PauliVector) -> np.ndarray:
     """rho = 2^{-q} sum_i c_i F_i."""

@@ -19,7 +19,6 @@ sequence, so one idle pseudoidentity is exactly 2 m gate units of free decay.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping
@@ -33,6 +32,7 @@ from .models import (
     PMMEParams,
     QubitTLSParams,
     UnsupportedModelError,
+    _check_finite,
     markovian_generator,
     pmme_idle_bloch,
     qubit_tls_generator,
@@ -71,8 +71,7 @@ class PseudoidentitySchedule:
         if m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", m)
-        if not math.isfinite(self.theta_full):
-            raise ValueError("theta_full must be finite")
+        object.__setattr__(self, "theta_full", _check_finite("theta_full", self.theta_full))
         ns = tuple(_count(n, "repetition count") for n in self.n_values)
         if len(ns) == 0:
             raise ValueError("n_values must be non-empty")
@@ -81,6 +80,8 @@ class PseudoidentitySchedule:
         if list(ns) != sorted(set(ns)):
             raise ValueError("n_values must be strictly increasing")
         object.__setattr__(self, "n_values", ns)
+        if isinstance(self.bases, str):
+            raise ValueError(f"bases must be a list of basis names, got {self.bases!r}")
         bases = tuple(self.bases)
         if not bases or any(b not in BASES for b in bases):
             raise ValueError(f"bases must be a non-empty subset of {BASES}")
@@ -113,10 +114,10 @@ class PseudoidentitySchedule:
         if "theta_full" not in data or "n_values" not in data:
             raise ValueError("schedule needs theta_full and n_values")
         return cls(
-            theta_full=float(data["theta_full"]),
+            theta_full=data["theta_full"],
             n_values=tuple(data["n_values"]),
             m=data.get("m", 4),
-            bases=tuple(data.get("bases", BASES)),
+            bases=data.get("bases", BASES),
         )
 
 

@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .models import NoiseParams, QubitTLSParams
-from .schedule import PseudoidentitySchedule, predict_trajectory
+from .models import NoiseParams, QubitTLSParams, _check_finite
+from .schedule import PseudoidentitySchedule, _count, predict_trajectory
 
 _CSV_FIELDS = ("batch_id", "timestamp", "theta_full", "n", "basis", "shots", "expval")
 
@@ -324,24 +324,24 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         for row in reader:
             if len(row) != len(_CSV_FIELDS):
                 raise ValueError(f"bad record row: {row}")
-            out.append(_record_from_strings(*row))
+            batch_id, timestamp, theta, n, basis, shots, expval = row
+            out.append(_record(batch_id, int(timestamp), float(theta), int(n), basis, int(shots), float(expval)))
     return out
 
 
-def _record_from_strings(batch_id, timestamp, theta_full, n, basis, shots, expval) -> ExperimentRecord:
+def _record(batch_id, timestamp, theta_full, n, basis, shots, expval) -> ExperimentRecord:
+    """Validated record; a non-integral count or a non-numeric value raises."""
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"bad basis {basis!r}")
     rec = ExperimentRecord(
         batch_id=batch_id,
-        timestamp=int(timestamp),
-        theta_full=float(theta_full),
-        n=int(n),
+        timestamp=_count(timestamp, "timestamp"),
+        theta_full=_check_finite("theta_full", theta_full),
+        n=_count(n, "n"),
         basis=basis,
-        shots=int(shots),
-        expval=float(expval),
+        shots=_count(shots, "shots"),
+        expval=_check_finite("expval", expval),
     )
-    if not (math.isfinite(rec.theta_full) and math.isfinite(rec.expval)):
-        raise ValueError(f"non-finite record: {rec}")
     if rec.n < 0 or rec.shots < 0 or abs(rec.expval) > 1.0:
         raise ValueError(f"record out of range: {rec}")
     return rec
@@ -374,12 +374,9 @@ def read_records_jsonl(path) -> list[ExperimentRecord]:
             if not line:
                 continue
             d = json.loads(line)
-            extra = set(d) - set(_CSV_FIELDS)
-            if extra:
-                raise ValueError(f"unknown record keys: {sorted(extra)}")
-            out.append(
-                _record_from_strings(
-                    d["batch_id"], d["timestamp"], d["theta_full"], d["n"], d["basis"], d["shots"], d["expval"]
-                )
-            )
+            keys = set(d) if isinstance(d, dict) else set()
+            extra, missing = keys - set(_CSV_FIELDS), set(_CSV_FIELDS) - keys
+            if extra or missing:
+                raise ValueError(f"unknown record keys: {sorted(extra)}, missing: {sorted(missing)}")
+            out.append(_record(*(d[k] for k in _CSV_FIELDS)))
     return out

@@ -1,10 +1,11 @@
-"""Shared fixtures: random parameter draws and the 50-seed recovery study.
+"""Shared fixtures: the 50-seed recovery study.
 
 The recovery study is the expensive shared artifact: 50 independent
 1024-shot idle datasets from the same TLS ground truth, each fitted with
 both the qubit-TLS and the (deliberately wrong) Markovian model.  Fit
 accuracy, reported-sigma calibration, and the model-misfit RMSE gap are
-all read off this one session-scoped run.
+all read off this one session-scoped run.  Random parameter draws live in
+`noiselab.oracles`, next to the checks that use them.
 """
 
 import time
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from noiselab.models import MarkovianParams, PMMEParams, QubitTLSParams
+from noiselab.models import QubitTLSParams
 from noiselab.fitting import FitConfig, fit_model
 from noiselab.schedule import PseudoidentitySchedule
 from noiselab.synth import generate_batch
@@ -25,36 +26,6 @@ STUDY_TRUTH = QubitTLSParams(
 STUDY_SCHEDULE = PseudoidentitySchedule(theta_full=0.0, n_values=tuple(range(0, 151, 10)))
 STUDY_SHOTS = 1024
 STUDY_SEEDS = 50
-
-
-def draw_markovian(rng: np.random.Generator) -> MarkovianParams:
-    return MarkovianParams(
-        delta_omega=rng.uniform(-0.3, 0.3),
-        gamma_ad=rng.uniform(0.0, 0.05),
-        gamma_d=rng.uniform(0.0, 0.05),
-    )
-
-
-def draw_qubit_tls(rng: np.random.Generator, with_gamma_ad: bool = True) -> QubitTLSParams:
-    return QubitTLSParams(
-        delta_omega=rng.uniform(-0.3, 0.3),
-        gamma_ad=rng.uniform(0.0, 0.02) if with_gamma_ad else 0.0,
-        gamma_d=rng.uniform(0.0, 0.02),
-        nu_zx=rng.uniform(0.0, 0.2),
-        kappa=rng.uniform(0.0, 0.2),
-    )
-
-
-def draw_pmme(rng: np.random.Generator) -> PMMEParams:
-    gamma_z = rng.uniform(0.0, 0.05)
-    return PMMEParams(
-        delta_omega=rng.uniform(-0.3, 0.3),
-        gamma_ad=rng.uniform(0.0, 0.02),
-        gamma_d=rng.uniform(0.0, 0.02),
-        gamma_z=gamma_z,
-        # keep the implied TLS relaxation non-negative so mapping checks work
-        b=rng.uniform(-2.0 * gamma_z, 0.1),
-    )
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import STUDY_SCHEDULE, STUDY_TRUTH, draw_pmme, draw_qubit_tls
+from conftest import STUDY_SCHEDULE, STUDY_TRUTH
 
 from noiselab.analysis import aggregate_ratios, detect_nonmarkovianity, fit_purity
 from noiselab.cli import main as cli_main
@@ -24,13 +24,14 @@ from noiselab.models import (
     PMMEParams,
     QubitTLSParams,
     effective_dephasing,
-    map_qubit_tls_to_pmme,
     pmme_idle_bloch,
     pmme_numeric_oracle,
-    qubit_tls_generator,
-    qubit_tls_idle_bloch,
 )
-from noiselab.pauli import PauliVector, PowerEngine, propagate
+from noiselab.oracles import (
+    pmme_closed_form_vs_kernel_integration,
+    qubit_tls_engine_vs_closed_form,
+    tls_pmme_mapped_equivalence,
+)
 from noiselab.schedule import (
     PseudoidentitySchedule,
     pseudoidentity_unitary,
@@ -48,23 +49,12 @@ def _report(capsys, index: int, name: str, ok: bool, detail: str) -> None:
 # 1. full 16-dim engine against the closed-form idle solution
 
 def test_engine_matches_closed_form(capsys):
-    rng = np.random.default_rng(2024)
-    steps = np.arange(0, 201, 5)
-    t = steps.astype(float)
     t0 = time.time()
-    worst, kappa_max = 0.0, 0.0
-    for _ in range(50):
-        p = draw_qubit_tls(rng)
-        kappa_max = max(kappa_max, p.kappa)
-        engine = PowerEngine(propagate(qubit_tls_generator(p), 1.0).matrix)
-        states = engine.states(steps, PauliVector.plus_tls_ground().coeffs)
-        dev = np.max(np.abs(states[:, [4, 8, 12]] - qubit_tls_idle_bloch(p, t)))
-        worst = max(worst, float(dev))
+    worst = qubit_tls_engine_vs_closed_form(np.random.default_rng(2024), 50)
     elapsed = time.time() - t0
     ok = worst < 1e-8 and elapsed < 10.0
     _report(capsys, 1, "engine-vs-closed-form", ok,
-            f"50 draws (kappa up to {kappa_max:.2f}), t in [0, 200], "
-            f"max dev {worst:.2e} < 1e-08, {elapsed:.1f}s < 10s")
+            f"50 draws, t in [0, 200], max dev {worst:.2e} < 1e-08, {elapsed:.1f}s < 10s")
     assert worst < 1e-8
     assert elapsed < 10.0
 
@@ -73,14 +63,8 @@ def test_engine_matches_closed_form(capsys):
 # 2. memory-kernel analytic solution against direct integration
 
 def test_memory_kernel_oracle(capsys):
-    rng = np.random.default_rng(7)
-    t = np.arange(0.0, 10.0 + 1e-12, 0.01)
     t0 = time.time()
-    worst = 0.0
-    for _ in range(20):
-        p = draw_pmme(rng)
-        numeric = np.array([s.coeffs[1:] for s in pmme_numeric_oracle(p, t)])
-        worst = max(worst, float(np.max(np.abs(numeric - pmme_idle_bloch(p, t)))))
+    worst = pmme_closed_form_vs_kernel_integration(np.random.default_rng(7), 20)
     # stiff draw: halving the requested step must cut the error by >= 3x
     stiff = PMMEParams(delta_omega=0.5, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.5, b=0.3)
     errs = []
@@ -104,14 +88,7 @@ def test_memory_kernel_oracle(capsys):
 
 def test_model_equivalence_and_cross_fits(capsys):
     # pointwise: mapped memory-kernel trajectory == TLS qubit marginal (no AD)
-    rng = np.random.default_rng(11)
-    t = np.linspace(0.0, 100.0, 101)
-    worst = 0.0
-    for _ in range(20):
-        p = draw_qubit_tls(rng, with_gamma_ad=False)
-        dev = np.max(np.abs(qubit_tls_idle_bloch(p, t)
-                            - pmme_idle_bloch(map_qubit_tls_to_pmme(p), t)))
-        worst = max(worst, float(dev))
+    worst = tls_pmme_mapped_equivalence(np.random.default_rng(11), 20)
 
     # statistical: both models fitted independently to the same shot-noisy
     # idle data must land on the same point of the shared function family

@@ -9,6 +9,7 @@ import pytest
 from noiselab.cli import main
 from noiselab.fitting import FitResult
 from noiselab.models import MarkovianParams
+from noiselab.oracles import CHECKS
 from noiselab.synth import read_records_csv, read_records_jsonl
 
 IDLE_N = list(range(0, 151, 10))
@@ -151,6 +152,15 @@ class TestFit:
                      "--shots", shots, "--seed", seed, "--out", out]) == 0
         return out + ".records.csv"
 
+    @pytest.mark.parametrize("flags, physical", [([], False), (["--tie-b"], True)])
+    def test_memory_kernel_report_flags_unphysical_fit(self, tmp_path, idle_schedule, flags, physical):
+        # README quick-start data: a free-b fit lands at b < -2 gamma_z
+        data = self._simulate_idle(tmp_path, idle_schedule, shots="1024", seed="7")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "pmme", "--data", data, "--out", str(out),
+                     "--starts", "4", *flags]) == 0
+        assert json.loads(out.read_text())["fit"]["physical"] is physical
+
     def test_idle_fit_report(self, tmp_path, idle_schedule):
         data = self._simulate_idle(tmp_path, idle_schedule)
         out = str(tmp_path / "fit.json")
@@ -229,6 +239,7 @@ class TestFit:
                 free_names=("delta_omega",),
                 free_values=np.zeros(1),
                 loss=1.0, rmse=0.1, n_points=100, converged=False, nfev=1600,
+                covariance=np.zeros((1, 1)), sigmas={"delta_omega": 0.0},
             )
 
         monkeypatch.setattr("noiselab.cli.fit_model", fake_fit)
@@ -358,6 +369,17 @@ class TestOracleCommand:
         assert all(c["pass"] for c in report["checks"])
         assert all(c["max_dev"] < c["tol"] for c in report["checks"])
 
+    def test_printed_names_are_the_shared_checks(self, capsys):
+        assert main(["oracle", "--draws", "1"]) == 0
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [name for name, _, _ in CHECKS]
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_no_draws_is_config_error(self, tmp_path, draws):
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--draws", draws, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestParser:
     def test_unknown_subcommand_exits_via_argparse(self):
@@ -393,6 +415,25 @@ class TestParser:
 
     @pytest.mark.parametrize("bad", [{"m": 4.5}, {"m": True}, {"n_values": [0, 2.5, 7.9]}])
     def test_non_integral_schedule_count_is_config_error(self, tmp_path, bad):
+        params = _write(tmp_path / "p.json", MARKOV_PARAMS)
+        sched = _write(tmp_path / "s.json", {"theta_full": 0.0, "n_values": IDLE_N, **bad})
+        rc = main(["simulate", "--params", params, "--schedule", sched,
+                   "--shots", "0", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("bad", [{"n": 2.5}, {"n": True}, {"theta_full": "0.5"}])
+    def test_coercible_jsonl_record_is_config_error(self, tmp_path, bad):
+        record = {"batch_id": "b", "timestamp": 0, "theta_full": 0.0, "n": 0,
+                  "basis": "X", "shots": 16, "expval": 0.5, **bad}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        rc = main(["fit", "--model", "markovian", "--data", str(path),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("bad", [{"theta_full": True}, {"theta_full": "0.5"}, {"bases": "XZ"}])
+    def test_coercible_schedule_value_is_config_error(self, tmp_path, bad):
         params = _write(tmp_path / "p.json", MARKOV_PARAMS)
         sched = _write(tmp_path / "s.json", {"theta_full": 0.0, "n_values": IDLE_N, **bad})
         rc = main(["simulate", "--params", params, "--schedule", sched,

@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noiselab.analysis import detect_nonmarkovianity
 from noiselab.fitting import (
     FitConfig,
     FitResult,
     fit_model,
     fit_to_dict,
-    estimate_uncertainty,
     loss,
     parameter_ratios,
 )
@@ -211,18 +211,40 @@ class TestUncertainty:
         assert all(s > 0 for s in fit.sigmas.values())
         assert np.allclose(fit.covariance, fit.covariance.T)
 
-    def test_recomputation_reproduces_the_attached_values(self):
-        recs = generate_batch(TLS, IDLE, 1024, 0)
-        fit = fit_model("qubit_tls", recs, FitConfig(starts=6))
-        redone = estimate_uncertainty(replace(fit, covariance=None, sigmas=None), recs)
-        for name in fit.free_names:
-            assert redone.sigmas[name] == pytest.approx(fit.sigmas[name], rel=1e-9)
 
-    def test_mismatched_configuration_rejected(self):
+# ---------------------------------------------------------------------------
+# physical region of the memory kernel
+
+class TestPhysicalRegion:
+    def test_kernel_below_minus_two_gamma_z_is_flagged(self):
+        recs = generate_batch(PMME, IDLE, 1024, 0)
+        fit = fit_model("pmme", recs, FitConfig(starts=2, frozen={"gamma_z": 1e-4, "b": -3e-4}))
+        assert fit.params.b < -2.0 * fit.params.gamma_z
+        assert fit.physical is False
+        assert fit_to_dict(fit)["physical"] is False
+
+    def test_tied_kernel_is_physical(self):
+        recs = generate_batch(PMME, IDLE, 1024, 0)
+        fit = fit_model("pmme", recs, FitConfig(starts=2, tie_b=True))
+        assert fit.physical is True
+        assert fit_to_dict(fit)["physical"] is True
+
+    def test_memoryless_and_tls_fits_are_physical(self):
         recs = generate_batch(TLS, IDLE, 1024, 0)
-        fit = fit_model("qubit_tls", recs, FitConfig(starts=4))
-        with pytest.raises(ValueError, match="free parameters"):
-            estimate_uncertainty(fit, recs, FitConfig(frozen={}))
+        for model in ("markovian", "qubit_tls"):
+            assert fit_model(model, recs, FitConfig(starts=2)).physical is True
+
+
+# ---------------------------------------------------------------------------
+# the README library quick start
+
+def test_readme_quick_start_recovers_nu_within_sigma():
+    records = generate_batch(TLS, IDLE, shots=1024, seed=7)
+    report = detect_nonmarkovianity(records)
+    fit = fit_model("qubit_tls", records, FitConfig(starts=8))
+    assert report.verdict == "non_markovian"
+    assert abs(report.purity.f_p * math.pi / TLS.nu_zx - 1.0) < 0.01
+    assert abs(fit.params.nu_zx - TLS.nu_zx) <= fit.sigmas["nu_zx"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +309,6 @@ class TestRatios:
         fit = fit_model("markovian", recs, FitConfig(starts=4))
         with pytest.raises(ValueError, match="joint"):
             parameter_ratios(fit)
-
-    def test_missing_covariance_rejected(self):
-        fit = _handmade_joint_fit(num=1.0, den=2.0, var_num=0.04, var_den=0.09, cov_nd=0.0)
-        with pytest.raises(ValueError, match="covariance"):
-            parameter_ratios(replace(fit, covariance=None, sigmas=None))
 
     def test_exact_joint_fit_gives_unit_ratio(self):
         recs = generate_batch(MARKOV, SHORT_DRIVEN, 0, 0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import draw_markovian, draw_pmme, draw_qubit_tls
 from noiselab.models import (
     MarkovianParams,
     PMMEParams,
@@ -24,10 +23,18 @@ from noiselab.models import (
     qubit_tls_generator,
     qubit_tls_idle_bloch,
 )
-from noiselab.oracles import evolve_state
+from noiselab.oracles import (
+    draw_markovian,
+    draw_pmme,
+    draw_qubit_tls,
+    evolve_state,
+    markovian_engine_vs_rk4,
+    pmme_closed_form_vs_kernel_integration,
+    qubit_tls_engine_vs_closed_form,
+    tls_pmme_mapped_equivalence,
+)
 from noiselab.pauli import (
     PauliVector,
-    PowerEngine,
     partial_trace_tls,
     pauli_string_matrix,
     propagate,
@@ -50,6 +57,14 @@ def test_rate_validation():
     PMMEParams(delta_omega=0.0, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.01, b=-0.02)
 
 
+@pytest.mark.parametrize("value", [True, "0.01", None, math.nan])
+def test_params_reject_coercible_values(value):
+    with pytest.raises(ValueError):
+        params_from_dict({"model": "markovian", "delta_omega": value, "gamma_ad": 0, "gamma_d": 0})
+    with pytest.raises(ValueError):
+        params_from_dict({"model": "markovian", "delta_omega": 0, "gamma_ad": value, "gamma_d": 0})
+
+
 def test_dict_roundtrip():
     rng = np.random.default_rng(0)
     for draw in (draw_markovian, draw_qubit_tls, draw_pmme):
@@ -67,18 +82,7 @@ def test_dict_roundtrip():
 # Markovian generator vs RK4
 
 def test_markovian_generator_vs_rk4():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(10):
-        p = draw_markovian(rng)
-        gen = markovian_generator(p)
-        h = p.delta_omega * pauli_string_matrix("Z", 1)
-        jumps = [(L_AD, p.gamma_ad), (pauli_string_matrix("Z", 1), p.gamma_d)]
-        for t in (0.7, 6.0, 25.0):
-            ours = propagate(gen, t).apply(PauliVector.plus())
-            ref = evolve_state(h, jumps, PauliVector.plus(), t)
-            worst = max(worst, float(np.max(np.abs(ours.coeffs - ref.coeffs))))
-    assert worst < 1e-9
+    assert markovian_engine_vs_rk4(np.random.default_rng(11), 10) < 1e-9
 
 
 def test_markovian_idle_bloch_matches_generator():
@@ -105,23 +109,8 @@ def test_driven_generator_rotates_x_axis():
 # ---------------------------------------------------------------------------
 # qubit-TLS: 16-dim engine vs closed form vs RK4
 
-def _tls_idle_engine_bloch(p: QubitTLSParams, ns: np.ndarray, step: float) -> np.ndarray:
-    sup = propagate(qubit_tls_generator(p), step)
-    engine = PowerEngine(sup.matrix)
-    states = engine.states(ns, PauliVector.plus_tls_ground().coeffs)
-    return states[:, [4, 8, 12]]
-
-
 def test_tls_closed_form_vs_engine():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(30):
-        p = draw_qubit_tls(rng)
-        ns = np.arange(0, 41)
-        closed = qubit_tls_idle_bloch(p, ns * 5.0)
-        engine = _tls_idle_engine_bloch(p, ns, 5.0)
-        worst = max(worst, float(np.max(np.abs(closed - engine))))
-    assert worst < 1e-10
+    assert qubit_tls_engine_vs_closed_form(np.random.default_rng(42), 30) < 1e-10
 
 
 def test_tls_engine_vs_rk4():
@@ -201,25 +190,7 @@ def test_bracket_continuous_at_degenerate_split():
 # memory-kernel model
 
 def test_pmme_closed_form_vs_numeric_oracle():
-    rng = np.random.default_rng(21)
-    t = np.arange(0.0, 10.0 + 1e-12, 0.01)
-    worst = 0.0
-    for _ in range(5):
-        p = draw_pmme(rng)
-        numeric = np.array([s.coeffs[1:] for s in pmme_numeric_oracle(p, t)])
-        worst = max(worst, float(np.max(np.abs(numeric - pmme_idle_bloch(p, t)))))
-    assert worst < 1e-5
-
-
-def test_pmme_oracle_second_order_convergence():
-    # deliberately stiff draw; halving the step must cut the error by >= 3x
-    p = PMMEParams(delta_omega=0.5, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.5, b=0.3)
-    errs = []
-    for h in (0.01, 0.005):
-        t = np.arange(0.0, 5.0 + 1e-12, h)
-        numeric = np.array([s.coeffs[1:] for s in pmme_numeric_oracle(p, t)])
-        errs.append(float(np.max(np.abs(numeric - pmme_idle_bloch(p, t)))))
-    assert errs[0] / errs[1] >= 3.0
+    assert pmme_closed_form_vs_kernel_integration(np.random.default_rng(21), 5) < 1e-5
 
 
 def test_pmme_oracle_grid_validation():
@@ -252,14 +223,7 @@ def test_mapping_formulas():
 
 
 def test_mapped_idle_trajectories_identical():
-    rng = np.random.default_rng(7)
-    t = np.linspace(0.0, 100.0, 101)
-    worst = 0.0
-    for _ in range(10):
-        p = draw_qubit_tls(rng, with_gamma_ad=False)
-        dev = np.max(np.abs(qubit_tls_idle_bloch(p, t) - pmme_idle_bloch(map_qubit_tls_to_pmme(p), t)))
-        worst = max(worst, float(dev))
-    assert worst < 1e-12
+    assert tls_pmme_mapped_equivalence(np.random.default_rng(7), 10) < 1e-12
 
 
 def test_mapping_infeasible_inverse():

@@ -1,9 +1,10 @@
-"""RK4 master-equation integrator against closed-form decay channels."""
+"""RK4 master-equation integrator against closed-form decay channels, and
+the shared engine-vs-oracle checks."""
 
 import numpy as np
 import pytest
 
-from noiselab.oracles import evolve_state, integrate_lindblad
+from noiselab.oracles import CHECKS, evolve_state, integrate_lindblad
 from noiselab.pauli import PauliVector, SIGMA_Z, density_matrix
 
 L_AD = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -55,3 +56,10 @@ def test_tolerance_controls_error():
     tight = evolve_state(H_ZERO, [(SIGMA_Z, g)], PauliVector.plus(), 20.0, tol=1e-11)
     assert abs(tight.coeffs[1] - exact) <= abs(loose.coeffs[1] - exact) + 1e-12
     assert abs(tight.coeffs[1] - exact) < 1e-9
+
+
+@pytest.mark.parametrize("name, check, tol", CHECKS)
+@pytest.mark.parametrize("draws", [0, -3])
+def test_checks_refuse_to_pass_without_draws(name, check, tol, draws):
+    with pytest.raises(ValueError, match="draws must be at least 1"):
+        check(np.random.default_rng(0), draws)

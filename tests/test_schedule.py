@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import draw_markovian, draw_qubit_tls
 from noiselab.models import (
     MarkovianParams,
     PMMEParams,
@@ -19,6 +18,7 @@ from noiselab.models import (
     qubit_tls_generator,
     qubit_tls_idle_bloch,
 )
+from noiselab.oracles import draw_markovian, draw_qubit_tls
 from noiselab.pauli import PauliVector, propagate
 from noiselab.schedule import (
     PseudoidentitySchedule,
@@ -75,6 +75,21 @@ def test_schedule_dict_roundtrip():
 def test_schedule_rejects_non_integral_counts(kwargs):
     with pytest.raises(ValueError):
         PseudoidentitySchedule(**{"theta_full": 1.0, "n_values": (0, 1), **kwargs})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"theta_full": True},
+        {"theta_full": "0.5"},
+        {"theta_full": None},
+        {"theta_full": math.nan},
+        {"bases": "XZ"},
+    ],
+)
+def test_schedule_from_dict_rejects_coercible_values(bad):
+    with pytest.raises(ValueError):
+        PseudoidentitySchedule.from_dict({"theta_full": 1.0, "n_values": [0, 1], **bad})
 
 
 def test_schedule_accepts_integral_numbers():

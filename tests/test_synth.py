@@ -1,5 +1,6 @@
 """Synthetic-record generation: shot sampling, batches, drift, campaigns, IO."""
 
+import json
 import math
 
 import numpy as np
@@ -360,6 +361,43 @@ class TestRecordIO:
         with pytest.raises(ValueError, match="non-finite"):
             read_records_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n": 2.5}, {"n": True}, {"n": "2"},
+            {"shots": 16.7}, {"shots": False},
+            {"timestamp": 1.9},
+            {"theta_full": True}, {"theta_full": "0.5"},
+            {"expval": True}, {"expval": "0.5"}, {"expval": None},
+        ],
+    )
+    def test_jsonl_rejects_truncated_or_coerced_values(self, tmp_path, bad):
+        good = {"batch_id": "b", "timestamp": 0, "theta_full": 0.0, "n": 0,
+                "basis": "X", "shots": 16, "expval": 0.5}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**good, **bad}) + "\n")
+        with pytest.raises(ValueError):
+            read_records_jsonl(path)
+
+    def test_jsonl_accepts_integral_floats(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text('{"batch_id": "b", "timestamp": 3.0, "theta_full": 1, "n": 2.0, '
+                        '"basis": "X", "shots": 16, "expval": 0}\n')
+        (rec,) = read_records_jsonl(path)
+        assert (rec.timestamp, rec.n, rec.theta_full, rec.expval) == (3, 2, 1.0, 0.0)
+        assert type(rec.n) is int and type(rec.theta_full) is float
+
+    @pytest.mark.parametrize("field, value", [("n", "2.5"), ("shots", "16.7"), ("timestamp", "1.9")])
+    def test_csv_rejects_non_integral_counts(self, tmp_path, field, value):
+        row = {"batch_id": "b", "timestamp": "0", "theta_full": "0.0", "n": "0",
+               "basis": "X", "shots": "16", "expval": "0.5", field: value}
+        path = tmp_path / "bad.csv"
+        path.write_text("batch_id,timestamp,theta_full,n,basis,shots,expval\n"
+                        + ",".join(row[k] for k in ("batch_id", "timestamp", "theta_full", "n",
+                                                     "basis", "shots", "expval")) + "\n")
+        with pytest.raises(ValueError):
+            read_records_csv(path)
+
     def test_unknown_jsonl_key_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -367,6 +405,19 @@ class TestRecordIO:
             '"basis": "X", "shots": 16, "expval": 0.5, "extra": 1}\n'
         )
         with pytest.raises(ValueError, match="unknown record keys"):
+            read_records_jsonl(path)
+
+    def test_missing_jsonl_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"batch_id": "b", "timestamp": 0, "theta_full": 0.0, "n": 0, "basis": "X", "shots": 16}\n')
+        with pytest.raises(ValueError, match=r"missing: \['expval'\]"):
+            read_records_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", '["batch_id"]', '"record"', "null"])
+    def test_jsonl_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="missing"):
             read_records_jsonl(path)
 
     def test_jsonl_skips_blank_lines(self, tmp_path):

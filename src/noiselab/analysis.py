@@ -21,8 +21,15 @@ Three detectors run on a single-theta record set:
    5 x the shot-noise floor 2 sqrt(p(1-p)/shots) / sqrt(N).
 
 3. Residual of the single-frequency form g0 + g1 r^n cos(n th + g2) + g3 d^n,
-   which any time-independent Markovian map must satisfy exactly; a fit
-   residual far above shot noise plus a multi-peak spectrum flags memory.
+   which any time-independent Markovian map must satisfy exactly.  Only
+   (r, th, d) are searched; the form is linear in (g0, g1 cos g2,
+   -g1 sin g2, g3), so those are solved by linear least squares at every
+   step (variable projection, Golub & Pereyra 1973).  A fit residual far
+   above shot noise plus a multi-peak spectrum flags memory.
+
+A record set's shot count is the median over its records with shots > 0
+(`records_shots`), and a periodogram peak counts above `peak_threshold`;
+`fitting` uses the same two rules.
 
 Campaign statistics aggregate per-day ratio estimates r_i +/- s_i with
 inverse-variance weights and split the spread into the fit-error part
@@ -42,6 +49,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import erfcinv
 
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
+from .schedule import _half_length
 from .synth import ExperimentRecord
 
 _SIGMA_FLOOR = 1e-12
@@ -96,12 +104,19 @@ def shot_noise_rmse(shots: int) -> float:
     return 1.0 / math.sqrt(shots)
 
 
-def _records_shots(records: Sequence[ExperimentRecord]) -> int:
-    values = sorted({r.shots for r in records})
-    if len(values) == 1:
-        return values[0]
-    positive = [v for v in values if v > 0]
+def records_shots(records: Sequence[ExperimentRecord]) -> int:
+    """Shot count of a record set: the median over its records with shots > 0,
+    or 0 (exact values) when there are none."""
+    positive = [r.shots for r in records if r.shots > 0]
     return int(np.median(positive)) if positive else 0
+
+
+def peak_threshold(shots: int, n_samples: int) -> float:
+    """Periodogram height at which a component of an n-sample series counts:
+    5 shot-noise floors shot_noise_rmse(shots) / sqrt(n), where exact data
+    (shots = 0) takes an absolute floor of 1e-8."""
+    floor = shot_noise_rmse(shots) / math.sqrt(n_samples) if shots > 0 else 1e-8
+    return _PEAK_SIGMAS * floor
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +186,7 @@ def _scan_z(q: float, n_freqs: int) -> float:
 
 def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
     """Least-squares fit of the purity oscillation model on the raw n grid."""
+    m = _half_length(m)
     ns, p_obs = purity_series(records)
     if ns.shape[0] < 3:
         raise ValueError("need at least 3 n values to fit the purity model")
@@ -343,8 +359,7 @@ def count_frequencies(z: np.ndarray, shots: int) -> tuple[int, list[float]]:
     n = z.shape[0]
     if n < 2:
         return 0, []
-    floor = shot_noise_rmse(shots) / math.sqrt(n) if shots > 0 else 1e-8
-    comps, _ = extract_phasors(z, _PEAK_SIGMAS * floor)
+    comps, _ = extract_phasors(z, peak_threshold(shots, n))
     omega_min = math.pi / n
     bin_w = 2.0 * math.pi / n
     freqs = sorted(abs(c.omega) for c in comps if abs(c.omega) >= omega_min)
@@ -359,45 +374,39 @@ def count_frequencies(z: np.ndarray, shots: int) -> tuple[int, list[float]]:
 # ---------------------------------------------------------------------------
 # single-frequency (Markovian-form) fit
 
-def _single_frequency_model(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    g0, g1, r, th, g2, g3, d = x
-    return g0 + g1 * r**ns * np.cos(ns * th + g2) + g3 * d**ns
-
-
 def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tuple[np.ndarray, float]:
     """Fit g0 + g1 r^n cos(n th + g2) + g3 d^n to a real series (n = 0, 1, ...).
 
-    Returns (params, loss).  Used for the Markovian-form residual: any
-    time-independent Markovian map produces series of exactly this shape.
+    Only (r, th, d) are searched.  The form is linear in the amplitudes
+    (g0, g1 cos g2, -g1 sin g2, g3), so every residual evaluation solves for
+    them by linear least squares (variable projection).  Returns (params,
+    loss) with params = (g0, g1, r, th, g2, g3, d).  Used for the
+    Markovian-form residual: any time-independent Markovian map produces
+    series of exactly this shape.
     """
     values = np.asarray(values, dtype=float)
     ns = np.arange(values.shape[0], dtype=float)
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return values - _single_frequency_model(x, ns)
+    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, th, d = x
+        env = r**ns
+        basis = np.column_stack([np.ones_like(ns), env * np.cos(ns * th), env * np.sin(ns * th), d**ns])
+        coef = np.linalg.lstsq(basis, values, rcond=None)[0]
+        return coef, values - basis @ coef
 
-    amp = float(np.abs(values).max()) or 1.0
-    starts = []
-    for ph in seeds[:2]:
-        # one damped phasor A e^{(i w - g) n} contributes |A| cos(w n + arg A)
-        # to the real part
-        starts.append(
-            np.array([
-                values.mean(), abs(ph.amplitude), math.exp(-ph.decay), abs(ph.omega),
-                math.atan2(ph.amplitude.imag, ph.amplitude.real), 0.0, 0.5,
-            ])
-        )
+    # one damped phasor A e^{(i w - g) n} oscillates at |w| inside e^{-g n}
+    starts = [np.array([math.exp(-ph.decay), abs(ph.omega), 0.5]) for ph in seeds[:2]]
     spec = np.abs(np.fft.rfft(values - values.mean()))
     k = int(np.argmax(spec[1:]) + 1) if spec.shape[0] > 2 else 1
-    w_seed = 2.0 * math.pi * k / values.shape[0]
-    starts.append(np.array([values.mean(), amp, 0.99, w_seed, 0.0, 0.0, 0.5]))
-    starts.append(np.array([0.0, amp, 0.999, 0.5 * w_seed, 0.0, 0.0, 0.9]))
-    starts.append(np.array([0.0, amp, 0.95, 2.0 * w_seed, 0.0, 0.0, 0.5]))
-    lower = np.array([-2.0, -4.0, 0.0, 0.0, -2.0 * math.pi, -4.0, 0.0])
-    upper = np.array([2.0, 4.0, 1.2, math.pi, 2.0 * math.pi, 4.0, 1.2])
-    scale = np.array([max(amp, 0.1), max(amp, 0.1), 1.0, max(w_seed, 0.05), 1.0, max(amp, 0.1), 1.0])
-    best = minimize_multistart(residuals, starts, lower, upper, scale, maxfev=2500)
-    return best.x, best.fun
+    w = 2.0 * math.pi * k / values.shape[0]
+    starts += [np.array([0.99, w, 0.5]), np.array([0.999, 0.5 * w, 0.9]), np.array([0.95, 2.0 * w, 0.5])]
+    best = minimize_multistart(
+        lambda x: solve(x)[1], starts, np.zeros(3), np.array([1.2, math.pi, 1.2]),
+        np.array([1.0, max(w, 0.05), 1.0]), maxfev=2500,
+    )
+    (g0, c, s, g3), _ = solve(best.x)
+    r, th, d = best.x
+    return np.array([g0, math.hypot(c, s), r, th, math.atan2(-s, c), g3, d]), best.fun
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +436,10 @@ def detect_nonmarkovianity(
     residual well above shot noise.  Fewer than 8 interpolated points, or a
     non-uniform n grid, is inconclusive.
     """
+    m = _half_length(m)
     ns, bloch = bloch_series(records)
     span = int(ns[-1] - ns[0]) + 1 if ns.shape[0] > 1 else ns.shape[0]
-    shots = _records_shots(records)
+    shots = records_shots(records)
     noise = shot_noise_rmse(shots)
     if span < 8 or ns.shape[0] < 4 or np.ptp(np.diff(ns)) != 0:
         return NonMarkovianityReport(
@@ -444,7 +454,7 @@ def detect_nonmarkovianity(
     count, freqs_sample = count_frequencies(z, shots)
     freqs = tuple(f / period for f in freqs_sample)
 
-    seeds, _ = extract_phasors(z, threshold=max(_PEAK_SIGMAS * noise / math.sqrt(ns.shape[0]), 1e-8))
+    seeds, _ = extract_phasors(z, peak_threshold(shots, ns.shape[0]))
     _, form_loss = fit_single_frequency(bloch[:, 0], seeds)
     form_residual = math.sqrt(form_loss / ns.shape[0])
 

@@ -41,7 +41,7 @@ from .models import (
     params_to_dict,
 )
 from .oracles import CHECKS
-from .schedule import PseudoidentitySchedule
+from .schedule import PseudoidentitySchedule, _half_length
 from .synth import (
     DriftProcess,
     generate_batch,
@@ -130,15 +130,16 @@ def _load_schedules(path) -> tuple[dict, list[PseudoidentitySchedule]]:
 def _build_drift(base, raw: dict) -> DriftProcess:
     if not isinstance(base, QubitTLSParams):
         raise CliError("campaign drift needs qubit_tls base parameters")
+    if not isinstance(raw, dict):
+        raise CliError(f"drift file must hold a JSON object, got {raw!r}")
     known = {"jump_rate_nu", "nu_distribution", "day_scales", "batch_scales"}
     extra = set(raw) - known
     if extra:
         raise CliError(f"unknown drift keys: {sorted(extra)}")
-    nu_dist = raw.get("nu_distribution", (0.0, 0.0))
     return DriftProcess(
         base=base,
-        jump_rate_nu=float(raw.get("jump_rate_nu", 0.0)),
-        nu_distribution=(float(nu_dist[0]), float(nu_dist[1])),
+        jump_rate_nu=raw.get("jump_rate_nu", 0.0),
+        nu_distribution=raw.get("nu_distribution", (0.0, 0.0)),
         day_scales=raw.get("day_scales"),
         batch_scales=raw.get("batch_scales"),
     )
@@ -249,7 +250,8 @@ def _physical_units(fit, gate_ns: float) -> dict:
 
 
 def cmd_fit(args) -> int:
-    records = _filter_thetas(_read_records(args.data), args.theta)
+    if not (math.isfinite(args.gate_duration_ns) and args.gate_duration_ns > 0):
+        raise CliError(f"--gate-duration-ns must be finite and positive, got {args.gate_duration_ns}")
     frozen = _parse_freeze(args.freeze)
     fit_config = FitConfig(
         shared=_parse_constrain(args.constrain),
@@ -259,6 +261,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
         m=args.m,
     )
+    records = _filter_thetas(_read_records(args.data), args.theta)
     fit = fit_model(args.model, records, fit_config)
     config = {
         "command": "fit",
@@ -378,6 +381,7 @@ def _ratio_tables(fit_paths, out_prefix):
 
 
 def cmd_analyze(args) -> int:
+    _half_length(args.m)  # before any table is written
     records = []
     for path in args.data:
         records.extend(_read_records(path))

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import extract_phasors, shot_noise_rmse
+from .analysis import extract_phasors, peak_threshold, records_shots
 from .models import (
     MODEL_TAGS,
     MarkovianParams,
@@ -45,7 +45,7 @@ from .models import (
 )
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
 from .pauli import PauliVector, PowerEngine
-from .schedule import PseudoidentitySchedule, schedule_superoperator
+from .schedule import PseudoidentitySchedule, _count, _half_length, schedule_superoperator
 from .synth import ExperimentRecord
 
 PARAM_NAMES: dict[str, tuple[str, ...]] = {
@@ -96,6 +96,13 @@ class FitConfig:
     starts: int = 16
     seed: int = 0
     m: int = 4
+
+    def __post_init__(self):
+        starts = _count(self.starts, "starts")
+        if starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts!r}")
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "m", _half_length(self.m))
 
 
 @dataclass
@@ -154,13 +161,11 @@ def _build_blocks(records: Sequence[ExperimentRecord], m: int) -> list[_ThetaBlo
     if not records:
         raise ValueError("no records to fit")
     groups: dict[float, dict[int, dict[str, float]]] = {}
-    shots: dict[float, list[int]] = {}
     for r in records:
         slot = groups.setdefault(r.theta_full, {}).setdefault(r.n, {})
         if r.basis in slot:
             raise ValueError(f"duplicate record theta={r.theta_full} n={r.n} basis={r.basis}")
         slot[r.basis] = r.expval
-        shots.setdefault(r.theta_full, []).append(r.shots)
     blocks = []
     for theta in sorted(groups):
         table = groups[theta]
@@ -171,11 +176,10 @@ def _build_blocks(records: Sequence[ExperimentRecord], m: int) -> list[_ThetaBlo
                 raise ValueError(f"inconsistent basis coverage at theta={theta}, n={n}")
         data = np.array([[table[int(n)][b] for b in bases] for n in ns])
         sched = PseudoidentitySchedule(theta_full=theta, n_values=tuple(int(v) for v in ns), m=m, bases=bases)
-        positive = [s for s in shots[theta] if s > 0]
         blocks.append(
             _ThetaBlock(
                 theta=theta, ns=ns, bases=bases, data=data, schedule=sched,
-                shots=int(np.median(positive)) if positive else 0,
+                shots=records_shots([r for r in records if r.theta_full == theta]),
             )
         )
     return blocks
@@ -321,8 +325,7 @@ def _phasor_seeds(block: _ThetaBlock, m: int) -> dict[str, float]:
     per_sample = 2.0 * m * float(steps[0])  # gate units per sample
     z = block.data[:, block.bases.index("X")] + 1j * block.data[:, block.bases.index("Y")]
     n = z.shape[0]
-    floor = shot_noise_rmse(block.shots) / math.sqrt(n) if block.shots > 0 else 1e-8
-    comps, _ = extract_phasors(z, max(5.0 * floor, 1e-8), max_components=3)
+    comps, _ = extract_phasors(z, peak_threshold(block.shots, n), max_components=3)
     if not comps:
         return out
     comps = sorted(comps, key=lambda c: -abs(c.amplitude))[:2]
@@ -429,7 +432,7 @@ def fit_model(
 
     base = _base_seeds(model, blocks, config)
     starts = [layout.vector(base)]
-    for s in range(1, max(config.starts, 1)):
+    for s in range(1, config.starts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
         starts.append(layout.vector(_jitter(base, rng)))
     lower, upper, scale = layout.bounds_and_scale(base)

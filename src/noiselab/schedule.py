@@ -57,6 +57,14 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
+def _half_length(m) -> int:
+    """m as a positive int: the gates in each half of a pseudoidentity."""
+    count = _count(m, "m")
+    if count < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class PseudoidentitySchedule:
     """Repetition experiment: one pseudoidentity block scanned over n."""
@@ -67,10 +75,7 @@ class PseudoidentitySchedule:
     bases: tuple[str, ...] = BASES
 
     def __post_init__(self):
-        m = _count(self.m, "m")
-        if m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _half_length(self.m))
         object.__setattr__(self, "theta_full", _check_finite("theta_full", self.theta_full))
         ns = tuple(_count(n, "repetition count") for n in self.n_values)
         if len(ns) == 0:

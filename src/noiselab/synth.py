@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .models import NoiseParams, QubitTLSParams, _check_finite
+from .models import NoiseParams, QubitTLSParams, _check_finite, _check_rate
 from .schedule import PseudoidentitySchedule, _count, predict_trajectory
 
 _CSV_FIELDS = ("batch_id", "timestamp", "theta_full", "n", "basis", "shots", "expval")
@@ -172,20 +172,29 @@ class DriftProcess:
     batch_scales: Mapping[str, float] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.jump_rate_nu <= 1.0:
-            raise ValueError(f"jump_rate_nu must be a probability, got {self.jump_rate_nu}")
-        mean, spread = self.nu_distribution
-        if spread < 0:
-            raise ValueError(f"nu spread must be non-negative, got {spread}")
+        rate = _check_finite("jump_rate_nu", self.jump_rate_nu)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"jump_rate_nu must be a probability, got {rate}")
+        object.__setattr__(self, "jump_rate_nu", rate)
+        try:
+            mean, spread = self.nu_distribution
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"nu_distribution must be a (mean, spread) pair, got {self.nu_distribution!r}"
+            ) from None
+        object.__setattr__(self, "nu_distribution", (
+            _check_finite("nu_distribution mean", mean), _check_rate("nu_distribution spread", spread),
+        ))
         for name, allowed in (("day_scales", _DAY_SCALE_PARAMS), ("batch_scales", _BATCH_SCALE_PARAMS)):
             scales = getattr(self, name)
             if scales is None:
                 continue
-            for key, value in scales.items():
+            if not isinstance(scales, Mapping):
+                raise ValueError(f"{name} must map parameter names to steps, got {scales!r}")
+            for key in scales:
                 if key not in allowed:
                     raise ValueError(f"{name} key {key!r} not one of {allowed}")
-                if value < 0:
-                    raise ValueError(f"{name}[{key!r}] must be non-negative, got {value}")
+            object.__setattr__(self, name, {k: _check_rate(f"{name}[{k!r}]", v) for k, v in scales.items()})
 
 
 def drift_path(

@@ -19,12 +19,17 @@ from noiselab.analysis import (
     fit_purity,
     fit_single_frequency,
     interpolate_spline,
+    peak_threshold,
     purity_series,
+    records_shots,
     shot_noise_rmse,
 )
+from noiselab.fitting import _build_blocks
 from noiselab.models import MarkovianParams, QubitTLSParams
 from noiselab.schedule import PseudoidentitySchedule
 from noiselab.synth import ExperimentRecord, generate_batch
+
+TLS_BEAT = QubitTLSParams(delta_omega=0.3 / 16, gamma_ad=3.6e-5, gamma_d=1.9e-4, nu_zx=0.025)
 
 DENSE_IDLE = PseudoidentitySchedule(theta_full=0.0, n_values=tuple(range(0, 151)))
 COARSE_IDLE = PseudoidentitySchedule(theta_full=0.0, n_values=tuple(range(0, 151, 10)))
@@ -208,6 +213,28 @@ class TestSingleFrequencyForm:
         _, loss = fit_single_frequency(bloch[:, 0], seeds)
         assert math.sqrt(loss / ns.shape[0]) > 1e-2
 
+    @pytest.mark.parametrize("params, shots", [
+        (TLS_BEAT, 0),
+        (MarkovianParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=2.09e-4), 1024),
+    ])
+    def test_returned_params_reproduce_the_loss(self, params, shots):
+        ns, bloch = bloch_series(generate_batch(params, DENSE_IDLE if shots == 0 else COARSE_IDLE, shots, 3))
+        z = bloch[:, 0] + 1j * bloch[:, 1]
+        seeds, _ = extract_phasors(z, peak_threshold(shots, ns.shape[0]))
+        (g0, g1, r, th, g2, g3, d), loss = fit_single_frequency(bloch[:, 0], seeds)
+        k = np.arange(ns.shape[0])
+        resid = bloch[:, 0] - (g0 + g1 * r**k * np.cos(k * th + g2) + g3 * d**k)
+        assert float(resid @ resid) == pytest.approx(loss, rel=1e-9)
+
+    def test_large_amplitudes_fit_exactly(self):
+        # amplitudes beyond any fixed box: solved linearly, never bounded
+        k = np.arange(64)
+        values = 6.0 * 0.99**k * np.cos(0.3 * k + 0.4) + 0.5 * 0.95**k
+        params, loss = fit_single_frequency(values)
+        assert loss < 1e-20
+        assert params[1] == pytest.approx(6.0, rel=1e-9)
+        assert params[3] == pytest.approx(0.3, rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # combined verdict
@@ -243,6 +270,26 @@ class TestDetect:
         rep = detect_nonmarkovianity(generate_batch(mk, sched, 0, 0))
         assert rep.verdict == "inconclusive"
         assert rep.purity is None
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True])
+    def test_bad_m_rejected(self, m):
+        recs = generate_batch(MarkovianParams(delta_omega=0.002), COARSE_IDLE, 0, 0)
+        with pytest.raises(ValueError, match="m must be"):
+            fit_purity(recs, m=m)
+        with pytest.raises(ValueError, match="m must be"):
+            detect_nonmarkovianity(recs, m=m)
+
+    def test_mixed_shots_one_noise_floor(self):
+        # n >= 120 measured at 2048 shots, the rest at 1024: most records say 1024
+        mk = MarkovianParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=2.09e-4)
+        recs = [r for r in generate_batch(mk, COARSE_IDLE, 1024, 1) if r.n < 120]
+        recs += [r for r in generate_batch(mk, COARSE_IDLE, 2048, 2) if r.n >= 120]
+        assert records_shots(recs) == 1024
+        assert _build_blocks(recs, 4)[0].shots == 1024
+        assert detect_nonmarkovianity(recs).shot_rmse == shot_noise_rmse(1024)
+        assert records_shots([_record(0, "X", 0.5)]) == 0
+        assert peak_threshold(1024, 16) == pytest.approx(5.0 / 32.0 / 4.0)
+        assert peak_threshold(0, 16) == pytest.approx(5e-8)
 
     def test_too_few_points_inconclusive(self):
         mk = MarkovianParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=2.09e-4)

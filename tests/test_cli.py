@@ -126,6 +126,23 @@ class TestSimulate:
                    "--shots", "16", "--seed", "0", "--out", out, "--days", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("drift, key", [
+        ('{"day_scales": {"gamma_d": "x"}}', "day_scales"),
+        ('{"nu_distribution": [0.1]}', "nu_distribution"),
+        ('{"jump_rate_nu": true}', "jump_rate_nu"),
+        ('{"nu_distribution": [NaN, 0.1], "jump_rate_nu": 1.0}', "nu_distribution"),
+        ('[0.5]', "drift file"),
+    ])
+    def test_bad_drift_file_is_config_error(self, tmp_path, idle_schedule, capsys, drift, key):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        (tmp_path / "drift.json").write_text(drift)
+        rc = main(["simulate", "--params", params, "--schedule", idle_schedule,
+                   "--shots", "16", "--seed", "0", "--out", str(tmp_path / "camp"),
+                   "--days", "1", "--drift", str(tmp_path / "drift.json")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("camp*"))
+
     def test_rerun_is_byte_identical(self, tmp_path, idle_schedule):
         params = _write(tmp_path / "p.json", TLS_PARAMS)
         out = str(tmp_path / "run")
@@ -258,6 +275,29 @@ class TestFit:
         assert main(argv) == 0
         assert (tmp_path / "fit.json").read_bytes() == first
 
+    @pytest.mark.parametrize("flags, option", [
+        (["--gate-duration-ns", "0"], "--gate-duration-ns"),
+        (["--gate-duration-ns", "-71.1"], "--gate-duration-ns"),
+        (["--gate-duration-ns", "nan"], "--gate-duration-ns"),
+        (["--gate-duration-ns", "inf"], "--gate-duration-ns"),
+        (["--starts", "-5"], "starts"),
+        (["--starts", "0"], "starts"),
+        (["--m", "0"], "m must be"),
+    ])
+    def test_bad_numeric_option_is_config_error(self, tmp_path, idle_schedule, capsys, flags, option,
+                                                monkeypatch):
+        data = self._simulate_idle(tmp_path, idle_schedule)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the options were checked")
+
+        monkeypatch.setattr("noiselab.cli.fit_model", no_fit)
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--model", "markovian", "--data", data, "--out", str(out), *flags])
+        assert rc == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_kernel_on_driven_data_exits_3(self, tmp_path, driven_schedule):
         params = _write(tmp_path / "p.json", MARKOV_PARAMS)
         sim = str(tmp_path / "sim")
@@ -317,6 +357,17 @@ class TestAnalyze:
         assert len(density) == 1 + 801 * len(keys)
         meta = json.loads((tmp_path / "an.meta.json").read_text())
         assert meta["dropped_ratios"] == 0
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_bad_m_is_config_error_before_any_output(self, tmp_path, idle_schedule, capsys, m):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", idle_schedule,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        rc = main(["analyze", "--data", sim + ".records.csv", "--out", str(tmp_path / "an"), "--m", m])
+        assert rc == 2
+        assert "m must be a positive integer" in capsys.readouterr().err
+        assert not list(tmp_path.glob("an.*"))
 
     def test_empty_input_is_config_error(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -154,6 +154,14 @@ class TestInvariants:
 # configuration and validation
 
 class TestConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("starts", 0), ("starts", -5), ("starts", True), ("starts", 2.5),
+        ("m", 0), ("m", 2.5), ("m", True),
+    ])
+    def test_bad_counts_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: bad})
+
     def test_unknown_model_rejected(self):
         recs = generate_batch(MARKOV, IDLE, 0, 0)
         with pytest.raises(ValueError, match="unknown model"):

@@ -189,6 +189,27 @@ class TestDriftProcess:
         with pytest.raises(ValueError):
             DriftProcess(base=TLS, batch_scales={"gamma_d": -0.1})
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"day_scales": {"gamma_d": "x"}}, "day_scales"),
+        ({"batch_scales": {"gamma_d": float("nan")}}, "batch_scales"),
+        ({"day_scales": [0.1]}, "day_scales"),
+        ({"nu_distribution": [0.1]}, "nu_distribution"),
+        ({"nu_distribution": (float("nan"), 0.1), "jump_rate_nu": 1.0}, "nu_distribution"),
+        ({"nu_distribution": (0.1, float("inf"))}, "nu_distribution"),
+        ({"jump_rate_nu": True}, "jump_rate_nu"),
+        ({"jump_rate_nu": "0.5"}, "jump_rate_nu"),
+        ({"jump_rate_nu": float("nan")}, "jump_rate_nu"),
+    ])
+    def test_malformed_values_rejected_not_coerced(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            DriftProcess(base=TLS, **kwargs)
+
+    def test_values_stored_as_floats(self):
+        drift = DriftProcess(base=TLS, jump_rate_nu=1, nu_distribution=[0, 1], day_scales={"gamma_d": 2})
+        assert drift.jump_rate_nu == 1.0 and type(drift.jump_rate_nu) is float
+        assert drift.nu_distribution == (0.0, 1.0)
+        assert drift.day_scales == {"gamma_d": 2.0}
+
     def test_path_shape_and_keys(self):
         drift = DriftProcess(base=TLS)
         path = drift_path(drift, days=3, batches_per_day=4, seed=0)

@@ -14,11 +14,13 @@ Three detectors run on a single-theta record set:
 
 2. Dominant-frequency count of z_n = <sx> + i <sy>.  Markovian evolution
    contributes a single damped phasor (a +/- theta pair under drive, which
-   counts once); a coherent TLS splits it in two.  Peaks are found on the
-   periodogram, refined by variable-projection fits of damped phasors, and
-   subtracted one at a time so window leakage of an off-bin tone is not
-   miscounted.  A component counts when its periodogram peak exceeds
-   5 x the shot-noise floor 2 sqrt(p(1-p)/shots) / sqrt(N).
+   counts once); a coherent TLS splits it in two.  The damped phasors come
+   from one matrix-pencil pass (Hua & Sarkar 1990): the poles are read off
+   the leading singular subspace of the series' Hankel matrix and the
+   amplitudes solved linearly, so an off-bin tone is one pole and its window
+   leakage is never miscounted.  A component counts when its own
+   periodogram peak exceeds 5 x the shot-noise floor
+   2 sqrt(p(1-p)/shots) / sqrt(N).
 
 3. Residual of the single-frequency form g0 + g1 r^n cos(n th + g2) + g3 d^n,
    which any time-independent Markovian map must satisfy exactly.  Only
@@ -55,8 +57,6 @@ from .synth import ExperimentRecord
 _SIGMA_FLOOR = 1e-12
 # a periodogram peak counts when it exceeds this many shot-noise floors
 _PEAK_SIGMAS = 5.0
-# most cyclic refits of every component after a new one is added
-_REFINE_PASSES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
 @dataclass(frozen=True)
 class Phasor:
     """One damped complex exponential a * exp[(i omega - decay) k] over the
-    sample index k, with the periodogram peak height that triggered it."""
+    sample index k; peak is the periodogram peak of this component alone."""
 
     omega: float
     decay: float
@@ -254,52 +254,29 @@ class Phasor:
     peak: float
 
 
-def _phasor_basis(n_samples: int, omega: float, decay: float) -> np.ndarray:
-    k = np.arange(n_samples)
-    return np.exp((1j * omega - decay) * k)
+def _pencil_poles(z: np.ndarray, threshold: float, max_order: int) -> np.ndarray:
+    """Poles of the leading signal subspace of a real or complex series
+    (matrix pencil, Hua & Sarkar 1990).
 
-
-def _project(z: np.ndarray, omega: float, decay: float) -> tuple[complex, np.ndarray]:
-    """Best amplitude and the resulting residual series (variable projection)."""
-    b = _phasor_basis(z.shape[0], omega, decay)
-    bb = float(np.real(np.vdot(b, b)))
-    if bb < 1e-300:
-        return 0.0 + 0.0j, z
-    amp = np.vdot(b, z) / bb
-    return complex(amp), z - amp * b
-
-
-def _wrap(omega: float) -> float:
-    if omega > math.pi:
-        return omega - 2.0 * math.pi
-    if omega <= -math.pi:
-        return omega + 2.0 * math.pi
-    return omega
-
-
-def _fit_one_phasor(resid: np.ndarray, w0: float) -> Phasor:
-    """Refine (omega, decay) near w0 on the variable-projection residual."""
-    n = resid.shape[0]
-    bin_w = 2.0 * math.pi / n
-
-    def vp_residuals(x: np.ndarray) -> np.ndarray:
-        r = _project(resid, x[0], x[1])[1]
-        return np.concatenate([r.real, r.imag])
-
-    starts = [
-        np.array([w0 + dw, g])
-        for dw in (0.0, -0.4 * bin_w, 0.4 * bin_w)
-        for g in (0.0, 1.0 / n)
-    ]
-    best = minimize_multistart(
-        vp_residuals, starts,
-        np.array([w0 - 1.5 * bin_w, 0.0]), np.array([w0 + 1.5 * bin_w, np.inf]),
-        np.array([bin_w, max(1.0 / n, 1e-6)]), maxfev=600,
-    )
-    omega, decay = float(best.x[0]), float(best.x[1])
-    amp, _ = _project(resid, omega, decay)
-    peak = float(np.abs(np.fft.fft(amp * _phasor_basis(n, omega, decay))).max() / n)
-    return Phasor(omega=_wrap(omega), decay=decay, amplitude=amp, peak=peak)
+    The (n - L) x (L + 1) Hankel matrix of an exact sum of damped
+    exponentials, L = n // 2, has one singular value per exponential.  The
+    model order is the number of singular values above
+    threshold/2 * sqrt((n - L)(L + 1)), the height a component at the
+    periodogram threshold reaches, capped at max_order and at n - L - 1,
+    one below the Hankel matrix's row count.  The poles are the eigenvalues
+    of the shift operator of the leading right singular vectors; a real
+    series gives real poles and conjugate pairs.
+    """
+    n = z.shape[0]
+    lag = n // 2
+    hankel = np.lib.stride_tricks.sliding_window_view(z, lag + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    floor = 0.5 * threshold * math.sqrt((n - lag) * (lag + 1))
+    order = min(int(np.count_nonzero(sv > floor)), max_order, n - lag - 1)
+    if order == 0:
+        return np.zeros(0, dtype=complex)
+    v = vh[:order].T
+    return np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
 
 
 def extract_phasors(
@@ -307,45 +284,37 @@ def extract_phasors(
     threshold: float,
     max_components: int = 4,
 ) -> tuple[list[Phasor], np.ndarray]:
-    """Fit and subtract damped phasors from a complex series.
+    """Damped phasors of a complex series by one matrix-pencil pass.
 
-    Model order grows one component at a time: seed a new phasor at the
-    residual's periodogram argmax, then cyclically refit every component
-    against the series with the *others* removed until the residual stops
-    improving.  Growth stops when the residual's top periodogram peak falls
-    below `threshold`, so an off-bin tone is absorbed by refinement instead
-    of being miscounted via its leakage.  Returns the components and the
-    final residual.
+    The poles p come from the leading singular subspace of the series'
+    Hankel matrix (`_pencil_poles`); the model order is the number of its
+    singular values above the level a component at `threshold` reaches,
+    capped at `max_components`.  Each pole gives omega = angle(p) and
+    decay = max(-log|p|, 0), and the amplitudes of all components are
+    solved at once by linear least squares.  Components whose own
+    periodogram peak is below `threshold` are dropped and the amplitudes of
+    the rest are solved again.  Returns the components and the residual,
+    z minus their sum.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z has non-finite values")
     n = z.shape[0]
-    comps: list[Phasor] = []
-
-    def reconstruct(skip: int | None = None) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        for i, c in enumerate(comps):
-            if i != skip:
-                out += c.amplitude * _phasor_basis(n, c.omega, c.decay)
-        return out
-
-    for _ in range(max_components):
-        resid = z - reconstruct()
-        spec = np.abs(np.fft.fft(resid)) / n
-        k = int(np.argmax(spec))
-        if float(spec[k]) < threshold:
-            break
-        comps.append(_fit_one_phasor(resid, 2.0 * math.pi * k / n))
-        if len(comps) > 1:
-            prev = np.inf
-            for _ in range(_REFINE_PASSES):
-                for i in range(len(comps)):
-                    comps[i] = _fit_one_phasor(z - reconstruct(skip=i), comps[i].omega)
-                norm = float(np.linalg.norm(z - reconstruct()))
-                if norm > 0.999 * prev:
-                    break
-                prev = norm
-    comps = [c for c in comps if c.peak >= threshold]
-    return comps, z - reconstruct()
+    poles = _pencil_poles(z, threshold, max_components)
+    poles = poles[np.abs(poles) > 0.0]
+    omegas = np.angle(poles)
+    decays = np.maximum(-np.log(np.abs(poles)), 0.0)
+    basis = np.exp(np.outer(np.arange(n), 1j * omegas - decays))
+    amps = np.linalg.lstsq(basis, z, rcond=None)[0]
+    peaks = np.abs(np.fft.fft(basis * amps, axis=0)).max(axis=0) / n
+    keep = peaks >= threshold
+    basis = basis[:, keep]
+    amps = np.linalg.lstsq(basis, z, rcond=None)[0]
+    comps = [
+        Phasor(omega=float(w), decay=float(g), amplitude=complex(a), peak=float(peak))
+        for w, g, a, peak in zip(omegas[keep], decays[keep], amps, peaks[keep])
+    ]
+    return comps, z - basis @ amps
 
 
 def count_frequencies(z: np.ndarray, shots: int) -> tuple[int, list[float]]:
@@ -379,8 +348,10 @@ def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tu
 
     Only (r, th, d) are searched.  The form is linear in the amplitudes
     (g0, g1 cos g2, -g1 sin g2, g3), so every residual evaluation solves for
-    them by linear least squares (variable projection).  Returns (params,
-    loss) with params = (g0, g1, r, th, g2, g3, d).  Used for the
+    them by linear least squares (variable projection).  The starts come
+    from the phasor seeds, the periodogram peak and the series' own
+    matrix-pencil poles.  Returns (params, loss) with
+    params = (g0, g1, r, th, g2, g3, d).  Used for the
     Markovian-form residual: any time-independent Markovian map produces
     series of exactly this shape.
     """
@@ -394,12 +365,24 @@ def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tu
         coef = np.linalg.lstsq(basis, values, rcond=None)[0]
         return coef, values - basis @ coef
 
-    # one damped phasor A e^{(i w - g) n} oscillates at |w| inside e^{-g n}
-    starts = [np.array([math.exp(-ph.decay), abs(ph.omega), 0.5]) for ph in seeds[:2]]
+    # one damped phasor A e^{(i w - g) n} oscillates at |w| inside e^{-g n}.
+    # Below half a frequency bin it is a pure decay, which d^n already
+    # covers: there cos(n th) and sin(n th) nearly duplicate the offset and
+    # d^n, and a start at such th drifts along that ridge for up to maxfev
+    # evaluations without ever winning
+    th_min = math.pi / values.shape[0]
+    starts = [
+        np.array([math.exp(-ph.decay), abs(ph.omega), 0.5]) for ph in seeds[:2] if abs(ph.omega) >= th_min
+    ]
     spec = np.abs(np.fft.rfft(values - values.mean()))
     k = int(np.argmax(spec[1:]) + 1) if spec.shape[0] > 2 else 1
     w = 2.0 * math.pi * k / values.shape[0]
     starts += [np.array([0.99, w, 0.5]), np.array([0.999, 0.5 * w, 0.9]), np.array([0.95, 2.0 * w, 0.5])]
+    # the form's poles are 1, r e^{+/- i th} and d: start from the series' own,
+    # with d at its smallest positive real pole
+    poles = _pencil_poles(values, 0.0, 4)
+    d0 = min((p.real for p in poles if p.imag == 0.0 and p.real > 0.0), default=0.5)
+    starts += [np.array([abs(p), np.angle(p), d0]) for p in poles if np.angle(p) >= th_min]
     best = minimize_multistart(
         lambda x: solve(x)[1], starts, np.zeros(3), np.array([1.2, math.pi, 1.2]),
         np.array([1.0, max(w, 0.05), 1.0]), maxfev=2500,
@@ -424,6 +407,10 @@ class NonMarkovianityReport:
     form_residual: float
     shot_rmse: float
     n_points: int
+    # the memory rules that held: "purity_z" (purity z > 3) and
+    # "lines_and_form" (>= 2 lines and form residual > 2 x floor); empty
+    # unless the verdict is non_markovian
+    criteria: tuple[str, ...] = ()
 
 
 def detect_nonmarkovianity(
@@ -459,15 +446,20 @@ def detect_nonmarkovianity(
     form_residual = math.sqrt(form_loss / ns.shape[0])
 
     floor = max(noise, 1e-6)
-    non_markov = purity.significance > 3.0 or (count >= 2 and form_residual > 2.0 * floor)
+    held = {
+        "purity_z": purity.significance > 3.0,
+        "lines_and_form": count >= 2 and form_residual > 2.0 * floor,
+    }
+    criteria = tuple(name for name, ok in held.items() if ok)
     return NonMarkovianityReport(
-        verdict="non_markovian" if non_markov else "markovian_consistent",
+        verdict="non_markovian" if criteria else "markovian_consistent",
         purity=purity,
         frequency_count=count,
         frequencies=freqs,
         form_residual=form_residual,
         shot_rmse=noise,
         n_points=ns.shape[0],
+        criteria=criteria,
     )
 
 

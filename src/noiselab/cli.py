@@ -47,6 +47,7 @@ from .synth import (
     generate_batch,
     generate_campaign,
     generate_grid_batch,
+    open_output,
     read_records_csv,
     read_records_jsonl,
     write_records_csv,
@@ -88,7 +89,7 @@ def _load_json(path) -> dict:
 
 
 def _dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -145,7 +146,14 @@ def _build_drift(base, raw: dict) -> DriftProcess:
     )
 
 
+def _check_seed(seed: int) -> None:
+    """numpy takes only non-negative seeds; say so before any file is touched."""
+    if seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     params = params_from_dict(_load_json(args.params))
     sched_raw, schedules = _load_schedules(args.schedule)
     config = {
@@ -250,6 +258,7 @@ def _physical_units(fit, gate_ns: float) -> dict:
 
 
 def cmd_fit(args) -> int:
+    _check_seed(args.seed)
     if not (math.isfinite(args.gate_duration_ns) and args.gate_duration_ns > 0):
         raise CliError(f"--gate-duration-ns must be finite and positive, got {args.gate_duration_ns}")
     frozen = _parse_freeze(args.freeze)
@@ -322,6 +331,7 @@ def _verdict_entry(batch_id, theta, records, m):
         "batch_id": batch_id,
         "theta_full": float(theta),
         "verdict": rep.verdict,
+        "criteria": list(rep.criteria),
         "frequency_count": rep.frequency_count,
         "frequencies": [float(f) for f in rep.frequencies],
         "form_residual": None if math.isnan(rep.form_residual) else rep.form_residual,
@@ -355,7 +365,7 @@ def _ratio_tables(fit_paths, out_prefix):
             by_key.setdefault((row["parameter"], float(row["theta_full"])), []).append((value, sigma))
     summary_path = f"{out_prefix}.ratio_summary.csv"
     density_path = f"{out_prefix}.density.csv"
-    with open(summary_path, "w", newline="") as fh:
+    with open_output(summary_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "theta_full", "mean", "sigma_fit", "sigma_disp", "sigma_total", "n"])
         for (name, theta), pairs in sorted(by_key.items()):
@@ -364,7 +374,7 @@ def _ratio_tables(fit_paths, out_prefix):
             agg = aggregate_ratios(values, sigmas)
             writer.writerow([name, repr(theta), repr(agg.mean), repr(agg.sigma_fit),
                              repr(agg.sigma_disp), repr(agg.sigma_total), agg.n])
-    with open(density_path, "w", newline="") as fh:
+    with open_output(density_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "theta_full", "z", "density"])
         for (name, theta), pairs in sorted(by_key.items()):
@@ -391,7 +401,7 @@ def cmd_analyze(args) -> int:
     outputs = {}
 
     obs_path = f"{args.out}.observables.csv"
-    with open(obs_path, "w", newline="") as fh:
+    with open_output(obs_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["batch_id", "theta_full", "n", "basis", "expval"])
         for (batch_id, theta), recs in groups.items():
@@ -400,7 +410,7 @@ def cmd_analyze(args) -> int:
     outputs["observables"] = obs_path
 
     spline_path = f"{args.out}.spline.csv"
-    with open(spline_path, "w", newline="") as fh:
+    with open_output(spline_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["batch_id", "theta_full", "basis", "n", "value"])
         for (batch_id, theta), recs in groups.items():
@@ -418,7 +428,7 @@ def cmd_analyze(args) -> int:
     outputs["spline"] = spline_path
 
     purity_path = f"{args.out}.purity.csv"
-    with open(purity_path, "w", newline="") as fh:
+    with open_output(purity_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["batch_id", "theta_full", "f_p", "gamma_p", "sigma_f",
                          "significance", "residual", "degenerate"])
@@ -495,6 +505,7 @@ def cmd_map_models(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True

@@ -102,6 +102,10 @@ class FitConfig:
         if starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts!r}")
         object.__setattr__(self, "starts", starts)
+        seed = _count(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "m", _half_length(self.m))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -313,8 +314,24 @@ def records_by_theta(records: Sequence[ExperimentRecord]) -> dict[float, list[Ex
 # ---------------------------------------------------------------------------
 # record IO
 
+def open_output(path, newline: str | None = None):
+    """Open path for writing as a new file, replacing any file there.
+
+    An existing file (or symlink) is unlinked, not truncated.  ext4 flushes
+    a file that was truncated and rewritten when it is closed
+    (auto_da_alloc), and truncating it again waits for that flush to reach
+    the disk: rerunning `simulate` + `analyze` on the same outputs a second
+    later stalled 0.1-0.3 s on a virtual disk.  A new file never waits.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", newline=newline)
+
+
 def write_records_csv(records: Sequence[ExperimentRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for r in records:
@@ -357,7 +374,7 @@ def _record(batch_id, timestamp, theta_full, n, basis, shots, expval) -> Experim
 
 
 def write_records_jsonl(records: Sequence[ExperimentRecord], path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         for r in records:
             fh.write(
                 json.dumps(

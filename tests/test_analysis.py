@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselab import analysis
 from noiselab.analysis import (
     NonMarkovianityReport,
+    Phasor,
     aggregate_ratios,
     bloch_series,
     count_frequencies,
@@ -26,6 +28,7 @@ from noiselab.analysis import (
 )
 from noiselab.fitting import _build_blocks
 from noiselab.models import MarkovianParams, QubitTLSParams
+from noiselab.optim import minimize_multistart
 from noiselab.schedule import PseudoidentitySchedule
 from noiselab.synth import ExperimentRecord, generate_batch
 
@@ -194,6 +197,52 @@ class TestPhasors:
         assert count_noisy == 1
 
 
+@st.composite
+def _separated_phasor_sums(draw):
+    """(z, omegas): an exact sum of 1-3 damped phasors >= 3 bins apart."""
+    n = draw(st.integers(16, 151))
+    count = draw(st.integers(1, 3))
+    sep = 3.0 * 2.0 * math.pi / n
+    slack = 2.0 * math.pi - count * sep  # the wrap-around gap keeps >= sep too
+    start = draw(st.floats(-math.pi, math.pi))
+    offsets = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+    omegas = [math.remainder(start + j * sep + slack * u, 2.0 * math.pi) for j, u in enumerate(offsets)]
+    k = np.arange(n)
+    z = np.zeros(n, dtype=complex)
+    for w in omegas:
+        amp = draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        z += amp * np.exp((1j * w - draw(st.floats(0.0, 0.03))) * k)
+    return z, omegas
+
+
+class TestMatrixPencil:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(case=_separated_phasor_sums())
+    def test_exact_phasor_sums_recovered(self, case):
+        z, omegas = case
+        comps, _ = extract_phasors(z, peak_threshold(0, z.shape[0]))
+        assert len(comps) == len(omegas)
+        for w in omegas:
+            err = min(abs(math.remainder(c.omega - w, 2.0 * math.pi)) for c in comps)
+            assert err < 1e-9
+
+    def test_memoryless_shot_noise_counts_at_most_one_line(self):
+        # the singular-value order rule must not promote noise to a line
+        mk = MarkovianParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=2.09e-4)
+        counts = []
+        for seed in range(100):
+            _, bloch = bloch_series(generate_batch(mk, COARSE_IDLE, 4096, seed))
+            counts.append(count_frequencies(bloch[:, 0] + 1j * bloch[:, 1], 4096)[0])
+        assert max(counts) <= 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_series_rejected(self, bad):
+        z = np.exp(0.5j * np.arange(32))
+        z[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_phasors(z, 1e-6)
+
+
 class TestSingleFrequencyForm:
     def test_markovian_series_fits_to_numerical_zero(self):
         mk = MarkovianParams(delta_omega=0.3 / 16, gamma_ad=2e-4, gamma_d=1.9e-4)
@@ -225,6 +274,53 @@ class TestSingleFrequencyForm:
         k = np.arange(ns.shape[0])
         resid = bloch[:, 0] - (g0 + g1 * r**k * np.cos(k * th + g2) + g3 * d**k)
         assert float(resid @ resid) == pytest.approx(loss, rel=1e-9)
+
+    def test_memoryless_two_pi_record_reaches_the_global_minimum(self):
+        # README truth at the 2 pi echo point: only noise is left to oscillate,
+        # and the fixed starts alone stop at 1.7x the dense-grid loss
+        truth = QubitTLSParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=1.9e-4, nu_zx=0.0027)
+        sched = PseudoidentitySchedule(theta_full=2.0 * math.pi, n_values=tuple(range(0, 151, 10)))
+        recs = [r for r in generate_batch(truth, sched, 4096, 1) if r.theta_full != 0.0]
+        ns, bloch = bloch_series(recs)
+        z = bloch[:, 0] + 1j * bloch[:, 1]
+        seeds, _ = extract_phasors(z, peak_threshold(4096, ns.shape[0]))
+        _, loss = fit_single_frequency(bloch[:, 0], seeds)
+
+        values = bloch[:, 0]
+        k = np.arange(values.shape[0])
+
+        def residuals(x):
+            r, th, d = x
+            basis = np.column_stack([np.ones(k.shape[0]), r**k * np.cos(k * th), r**k * np.sin(k * th), d**k])
+            return values - basis @ np.linalg.lstsq(basis, values, rcond=None)[0]
+
+        grid = [
+            np.array([r, th, d])
+            for r in (0.9, 0.99, 1.0) for th in np.linspace(0.02, math.pi, 24) for d in (0.5, 0.9)
+        ]
+        dense = minimize_multistart(
+            residuals, grid, np.zeros(3), np.array([1.2, math.pi, 1.2]), np.array([1.0, 0.1, 1.0]),
+            maxfev=2500,
+        )
+        assert loss <= 1.05 * dense.fun
+
+    def test_sub_bin_seeds_are_not_starts(self, monkeypatch):
+        # a seed below half a frequency bin is a pure decay, which d^n covers;
+        # a start there drifts along the flat theta ridge for up to maxfev
+        k = np.arange(16)
+        values = 0.4 * 0.97**k + 0.05 * 0.99**k * np.cos(0.9 * k)
+        seeds = [Phasor(omega=0.001, decay=0.03, amplitude=0.4 + 0j, peak=0.3)]
+        starts = []
+        real = analysis.minimize_multistart
+
+        def spy(residuals, x0s, *args, **kwargs):
+            starts.extend(x0s)
+            return real(residuals, x0s, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "minimize_multistart", spy)
+        _, loss = fit_single_frequency(values, seeds)
+        assert starts and min(x[1] for x in starts) >= math.pi / k.shape[0]
+        assert loss < 1e-20
 
     def test_large_amplitudes_fit_exactly(self):
         # amplitudes beyond any fixed box: solved linearly, never bounded
@@ -258,6 +354,19 @@ class TestDetect:
         assert rep.verdict == "non_markovian"
         assert rep.purity.f_p == pytest.approx(nu / math.pi, rel=0.05)
 
+    @pytest.mark.parametrize("theta, criteria", [
+        (0.0, ("purity_z",)),
+        (2.0 * math.pi, ()),
+    ], ids=["idle", "two_pi"])
+    def test_verdict_names_the_rules_that_held(self, theta, criteria):
+        # the README quick start, and the same truth at the 2 pi echo point
+        truth = QubitTLSParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=1.9e-4, nu_zx=0.0027)
+        sched = PseudoidentitySchedule(theta_full=theta, n_values=tuple(range(0, 151, 10)))
+        recs = [r for r in generate_batch(truth, sched, 1024, 7) if r.theta_full == theta]
+        rep = detect_nonmarkovianity(recs)
+        assert rep.criteria == criteria
+        assert rep.verdict == ("non_markovian" if criteria else "markovian_consistent")
+
     def test_markovian_data_passes(self):
         mk = MarkovianParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=2.09e-4)
         rep = detect_nonmarkovianity(generate_batch(mk, COARSE_IDLE, 1024, 0))
@@ -270,6 +379,7 @@ class TestDetect:
         rep = detect_nonmarkovianity(generate_batch(mk, sched, 0, 0))
         assert rep.verdict == "inconclusive"
         assert rep.purity is None
+        assert rep.criteria == ()
 
     @pytest.mark.parametrize("m", [0, -1, 2.5, True])
     def test_bad_m_rejected(self, m):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -323,6 +324,7 @@ class TestAnalyze:
         verdicts = json.loads((tmp_path / "an.verdicts.json").read_text())["verdicts"]
         assert len(verdicts) == 1
         assert verdicts[0]["verdict"] == "non_markovian"
+        assert verdicts[0]["criteria"] == ["purity_z"]
         purity = (tmp_path / "an.purity.csv").read_text().splitlines()
         assert len(purity) == 2  # header + one group
         spline = (tmp_path / "an.spline.csv").read_text().splitlines()
@@ -331,6 +333,26 @@ class TestAnalyze:
         assert len(obs) == 1 + len(IDLE_N) * 3
         meta = json.loads((tmp_path / "an.meta.json").read_text())
         assert meta["n_groups"] == 1
+
+    def test_rerun_replaces_every_output_file(self, tmp_path, idle_schedule):
+        # rewriting a file in place waits on ext4 for the flush of its last
+        # write; every output is a new file instead, with the same bytes
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        sim, out = str(tmp_path / "sim"), str(tmp_path / "an")
+        argv = [["simulate", "--params", params, "--schedule", idle_schedule,
+                 "--shots", "1024", "--seed", "3", "--out", sim],
+                ["analyze", "--data", sim + ".records.csv", "--out", out]]
+        for args in argv:
+            assert main(args) == 0
+        outputs = sorted(p for p in tmp_path.iterdir() if p.name.startswith(("sim.", "an.")))
+        assert len(outputs) == 7
+        for path in outputs:
+            os.link(path, f"{path}.old")
+        for args in argv:
+            assert main(args) == 0
+        for path in outputs:
+            assert not os.path.samefile(path, f"{path}.old")
+            assert path.read_bytes() == (tmp_path / f"{path.name}.old").read_bytes()
 
     def test_ratio_aggregation_tables(self, tmp_path, driven_schedule):
         params = _write(tmp_path / "p.json", MARKOV_PARAMS)
@@ -436,6 +458,19 @@ class TestParser:
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--params", "p.json", "--schedule", "s.json", "--shots", "16", "--out", "run"],
+        ["fit", "--model", "markovian", "--data", "r.csv", "--out", "fit.json"],
+        ["fit", "--model", "markovian", "--data", "r.csv", "--out", "fit.json", "--starts", "1"],
+        ["oracle", "--draws", "1", "--out", "oracle.json"],
+    ], ids=["simulate", "fit", "fit-one-start", "oracle"])
+    def test_negative_seed_is_config_error_before_any_io(self, tmp_path, monkeypatch, capsys, argv):
+        # the input files do not exist: reading them first would fail on the path
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["fit", "--model", "markovian",

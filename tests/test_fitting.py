@@ -157,6 +157,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, bad", [
         ("starts", 0), ("starts", -5), ("starts", True), ("starts", 2.5),
         ("m", 0), ("m", 2.5), ("m", True),
+        ("seed", -3), ("seed", True), ("seed", 2.5),
     ])
     def test_bad_counts_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):

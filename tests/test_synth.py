@@ -341,6 +341,18 @@ class TestRecordIO:
         write_records_jsonl(recs, path)
         assert read_records_jsonl(path) == recs
 
+    @pytest.mark.parametrize("write", [write_records_csv, write_records_jsonl])
+    def test_rewrite_replaces_the_file_instead_of_truncating_it(self, tmp_path, write):
+        # a hard link to the old file keeps the old bytes: the path now names
+        # a new file, so no truncation of the old one (and no wait on its flush)
+        path, link = tmp_path / "records", tmp_path / "old"
+        path.write_text("old\n")
+        link.hardlink_to(path)
+        recs = _sample_records()
+        write(recs, path)
+        assert link.read_text() == "old\n"
+        assert (read_records_csv if write is write_records_csv else read_records_jsonl)(path) == recs
+
     def test_csv_header_is_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

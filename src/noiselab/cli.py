@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -349,20 +350,44 @@ def _verdict_entry(batch_id, theta, records, m):
     return entry
 
 
-def _ratio_tables(fit_paths, out_prefix):
-    """Collect ratio entries from fit reports, aggregate, and write tables."""
+_RATIO_KEYS = ("parameter", "theta_full", "value", "sigma")
+
+
+def _read_ratios(fit_paths) -> tuple[dict[tuple[str, float], list[tuple[float, float]]], int]:
+    """Every ratio row of the fit reports, checked and grouped by (parameter,
+    theta_full); rows with a non-finite value or sigma are dropped and counted."""
     by_key: dict[tuple[str, float], list[tuple[float, float]]] = {}
     dropped = 0
     for path in fit_paths:
         report = _load_json(path)
+        rows = report.get("ratios", []) if isinstance(report, dict) else None
+        if not isinstance(rows, list):
+            raise CliError(f"{path}: a fit report must be a JSON object with a list of ratios")
         if report.get("schema") != SCHEMA:
             raise CliError(f"{path}: unsupported schema {report.get('schema')!r}")
-        for row in report.get("ratios", []):
-            value, sigma = float(row["value"]), float(row["sigma"])
+        for i, row in enumerate(rows):
+            where = f"{path}: ratio row {i}"
+            if not isinstance(row, dict) or any(k not in row for k in _RATIO_KEYS):
+                raise CliError(f"{where} must be an object with keys {list(_RATIO_KEYS)}, got {row!r}")
+            name, theta, value, sigma = (row[k] for k in _RATIO_KEYS)
+            if not isinstance(name, str):
+                raise CliError(f"{where}: parameter must be a string, got {name!r}")
+            for key, x in zip(_RATIO_KEYS[1:], (theta, value, sigma)):
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise CliError(f"{where}: {key} must be a number, got {x!r}")
+            if not math.isfinite(theta):
+                raise CliError(f"{where}: theta_full must be finite, got {theta!r}")
+            if math.isfinite(sigma) and sigma < 0:
+                raise CliError(f"{where}: sigma must be non-negative, got {sigma!r}")
             if not (math.isfinite(value) and math.isfinite(sigma)):
                 dropped += 1
                 continue
-            by_key.setdefault((row["parameter"], float(row["theta_full"])), []).append((value, sigma))
+            by_key.setdefault((name, float(theta)), []).append((float(value), float(sigma)))
+    return by_key, dropped
+
+
+def _ratio_tables(by_key, out_prefix) -> list[str]:
+    """Aggregate the checked ratio rows and write the summary and density tables."""
     summary_path = f"{out_prefix}.ratio_summary.csv"
     density_path = f"{out_prefix}.density.csv"
     with open_output(summary_path, newline="") as fh:
@@ -387,11 +412,13 @@ def _ratio_tables(fit_paths, out_prefix):
             dens = density_profile(values, sigmas, grid)
             for z, d in zip(grid, dens):
                 writer.writerow([name, repr(theta), repr(float(z)), repr(float(d))])
-    return [summary_path, density_path], dropped
+    return [summary_path, density_path]
 
 
 def cmd_analyze(args) -> int:
-    _half_length(args.m)  # before any table is written
+    # every input is checked before any table is written
+    _half_length(args.m)
+    by_key, dropped = _read_ratios(args.fits or [])
     records = []
     for path in args.data:
         records.extend(_read_records(path))
@@ -443,10 +470,8 @@ def cmd_analyze(args) -> int:
     _dump_json({"schema": SCHEMA, "verdicts": verdicts}, verdict_path)
     outputs["verdicts"] = verdict_path
 
-    dropped = 0
     if args.fits:
-        paths, dropped = _ratio_tables(args.fits, args.out)
-        outputs["ratio_summary"], outputs["density"] = paths
+        outputs["ratio_summary"], outputs["density"] = _ratio_tables(by_key, args.out)
 
     config = {
         "command": "analyze",

@@ -31,21 +31,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import extract_phasors, peak_threshold, records_shots
-from .models import (
-    MODEL_TAGS,
-    MarkovianParams,
-    NoiseParams,
-    PMMEParams,
-    QubitTLSParams,
-    UnsupportedModelError,
-    markovian_idle_bloch,
-    params_to_dict,
-    pmme_idle_bloch,
-    qubit_tls_idle_bloch,
-)
+from .models import MODEL_TAGS, NoiseParams, PMMEParams, UnsupportedModelError, params_to_dict
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
-from .pauli import PauliVector, PowerEngine
-from .schedule import PseudoidentitySchedule, _count, _half_length, schedule_superoperator
+from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_trajectory
+# unused here; perfbench's tracer test reads fitting.schedule_superoperator (ROADMAP item 1)
+from .schedule import schedule_superoperator
 from .synth import ExperimentRecord
 
 PARAM_NAMES: dict[str, tuple[str, ...]] = {
@@ -156,9 +146,14 @@ class _ThetaBlock:
     theta: float
     ns: np.ndarray
     bases: tuple[str, ...]
+    cols: list[int]  # bloch_trajectory column of each basis
     data: np.ndarray  # (len(ns), len(bases))
     schedule: PseudoidentitySchedule
     shots: int
+
+    def residual(self, params: NoiseParams) -> np.ndarray:
+        """Measured minus predicted values, shaped like data."""
+        return self.data - bloch_trajectory(params, self.schedule)[:, self.cols]
 
 
 def _build_blocks(records: Sequence[ExperimentRecord], m: int) -> list[_ThetaBlock]:
@@ -182,41 +177,12 @@ def _build_blocks(records: Sequence[ExperimentRecord], m: int) -> list[_ThetaBlo
         sched = PseudoidentitySchedule(theta_full=theta, n_values=tuple(int(v) for v in ns), m=m, bases=bases)
         blocks.append(
             _ThetaBlock(
-                theta=theta, ns=ns, bases=bases, data=data, schedule=sched,
+                theta=theta, ns=ns, bases=bases, cols=["XYZ".index(b) for b in bases],
+                data=data, schedule=sched,
                 shots=records_shots([r for r in records if r.theta_full == theta]),
             )
         )
     return blocks
-
-
-_AXIS = {"X": 0, "Y": 1, "Z": 2}
-
-
-def _predict_block(params: NoiseParams, block: _ThetaBlock) -> np.ndarray:
-    cols = [_AXIS[b] for b in block.bases]
-    if isinstance(params, PMMEParams):
-        if block.theta != 0.0:
-            raise UnsupportedModelError(
-                "memory-kernel parameters only predict idle (theta_full = 0) records"
-            )
-        bloch = pmme_idle_bloch(params, block.ns * block.schedule.duration)
-        return bloch[:, cols]
-    if block.theta == 0.0:
-        # idle pseudoidentities reduce to free evolution; skip the engine
-        t = block.ns * block.schedule.duration
-        if isinstance(params, QubitTLSParams):
-            return qubit_tls_idle_bloch(params, t)[:, cols]
-        if isinstance(params, MarkovianParams):
-            return markovian_idle_bloch(params, t)[:, cols]
-    sup = schedule_superoperator(params, block.schedule)
-    engine = PowerEngine(sup.matrix)
-    if sup.q == 2:
-        states = engine.states(block.ns, PauliVector.plus_tls_ground().coeffs)
-        bloch = states[:, [4, 8, 12]]
-    else:
-        states = engine.states(block.ns, PauliVector.plus().coeffs)
-        bloch = states[:, 1:4]
-    return bloch[:, cols]
 
 
 def loss(params: NoiseParams, records: Sequence[ExperimentRecord], m: int = 4) -> float:
@@ -224,7 +190,7 @@ def loss(params: NoiseParams, records: Sequence[ExperimentRecord], m: int = 4) -
     blocks = _build_blocks(records, m)
     if len(blocks) != 1:
         raise ValueError("loss expects records for a single theta_full; fit_model handles pairs")
-    resid = blocks[0].data - _predict_block(params, blocks[0])
+    resid = blocks[0].residual(params)
     return float(np.sum(resid * resid))
 
 
@@ -401,9 +367,7 @@ def _residual_function(layout: _Layout, blocks: list[_ThetaBlock]):
 
     def residuals(x: np.ndarray) -> np.ndarray:
         params = layout.build(x)
-        return np.concatenate(
-            [(block.data - _predict_block(params[block.theta], block)).ravel() for block in blocks]
-        )
+        return np.concatenate([block.residual(params[block.theta]).ravel() for block in blocks])
 
     return residuals
 

@@ -15,6 +15,11 @@ commute with the mirroring (detuning delta_omega, TLS coupling) survive and
 accumulate over n repetitions.  Detuning and dissipation act throughout both
 halves, including the zero-amplitude drive of an idle (theta_full = 0)
 sequence, so one idle pseudoidentity is exactly 2 m gate units of free decay.
+
+`bloch_trajectory` is the one prediction path from noise parameters to qubit
+expectation values: synthetic records (`synth`) and every fit (`fitting`) read
+it.  Idle schedules take the model's closed-form free decay at t = 2 m n;
+driven ones diagonalise the block superoperator once and apply it n times.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ from .models import (
     UnsupportedModelError,
     _check_finite,
     markovian_generator,
+    markovian_idle_bloch,
     pmme_idle_bloch,
     qubit_tls_generator,
+    qubit_tls_idle_bloch,
 )
 from .pauli import (
     PauliVector,
@@ -150,39 +157,37 @@ def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule
     return second @ first
 
 
-def _initial_state(params: NoiseParams) -> PauliVector:
-    if isinstance(params, QubitTLSParams):
-        return PauliVector.plus_tls_ground()
-    return PauliVector.plus()
+def bloch_trajectory(params: NoiseParams, schedule: PseudoidentitySchedule) -> np.ndarray:
+    """Exact (infinite-shot) qubit <sx>, <sy>, <sz>, one row per schedule.n_values.
+
+    The qubit starts in |+> (the TLS, if present, in its ground state).  An
+    idle schedule is 2 m n gate units of free decay, read from the model's
+    closed form; a driven block superoperator is diagonalised once and
+    applied n times.  Memory-kernel parameters have no driven block, so a
+    driven schedule raises UnsupportedModelError in schedule_superoperator.
+    """
+    ns = np.asarray(schedule.n_values, dtype=int)
+    if schedule.theta_full == 0.0:
+        t = ns * schedule.duration
+        if isinstance(params, MarkovianParams):
+            return markovian_idle_bloch(params, t)
+        if isinstance(params, QubitTLSParams):
+            return qubit_tls_idle_bloch(params, t)
+        if isinstance(params, PMMEParams):
+            return pmme_idle_bloch(params, t)
+    sup = schedule_superoperator(params, schedule)
+    engine = PowerEngine(sup.matrix)
+    if sup.q == 2:
+        return engine.states(ns, PauliVector.plus_tls_ground().coeffs)[:, [4, 8, 12]]
+    return engine.states(ns, PauliVector.plus().coeffs)[:, 1:4]
 
 
 def predict_trajectory(
     params: NoiseParams, schedule: PseudoidentitySchedule
 ) -> dict[int, tuple[float, float, float]]:
-    """Exact (infinite-shot) qubit expectation values <sx>, <sy>, <sz> per n.
-
-    The qubit starts in |+> (the TLS, if present, in its ground state); one
-    pseudoidentity superoperator is diagonalised once and applied n times.
-    Memory-kernel parameters are propagated with the closed-form idle
-    solution and therefore only support theta_full = 0.
-    """
-    ns = np.asarray(schedule.n_values, dtype=int)
-    if isinstance(params, PMMEParams):
-        if schedule.theta_full != 0.0:
-            raise UnsupportedModelError(
-                "memory-kernel propagation is only defined for idle "
-                "(theta_full = 0) schedules"
-            )
-        bloch = pmme_idle_bloch(params, ns * schedule.duration)
-    else:
-        sup = schedule_superoperator(params, schedule)
-        engine = PowerEngine(sup.matrix)
-        states = engine.states(ns, _initial_state(params).coeffs)
-        if isinstance(params, QubitTLSParams):
-            bloch = states[:, [4, 8, 12]]
-        else:
-            bloch = states[:, 1:4]
-    return {int(n): (float(b[0]), float(b[1]), float(b[2])) for n, b in zip(ns, bloch)}
+    """bloch_trajectory as {n: (<sx>, <sy>, <sz>)}."""
+    rows = bloch_trajectory(params, schedule).tolist()
+    return {n: tuple(row) for n, row in zip(schedule.n_values, rows)}
 
 
 def pseudoidentity_unitary(
@@ -206,8 +211,7 @@ def pseudoidentity_unitary(
     perturbation at theta_full = 2 pi leaves only a third-order diagonal
     phase ~ pi sigma_z_error^3 (off-diagonals are fifth order).
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = _half_length(m)
     omega = theta_full / (2.0 * m)
     drive = omega * (1.0 + over_rotation)
     h_plus = drive * SIGMA_X + omega * sigma_z_error * SIGMA_Z

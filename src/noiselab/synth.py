@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .models import NoiseParams, QubitTLSParams, _check_finite, _check_rate
-from .schedule import PseudoidentitySchedule, _count, predict_trajectory
+from .schedule import BASES, PseudoidentitySchedule, _count, bloch_trajectory
 
 _CSV_FIELDS = ("batch_id", "timestamp", "theta_full", "n", "basis", "shots", "expval")
 
@@ -83,12 +83,10 @@ def _theta_records(
     batch_id: str,
     timestamp: int,
 ) -> list[ExperimentRecord]:
-    traj = predict_trajectory(params, schedule)
-    axis = {"X": 0, "Y": 1, "Z": 2}
     out = []
-    for n in schedule.n_values:
+    for n, row in zip(schedule.n_values, bloch_trajectory(params, schedule).tolist()):
         for basis in schedule.bases:
-            value = sample_shots(traj[n][axis[basis]], shots, rng)
+            value = sample_shots(row[BASES.index(basis)], shots, rng)
             out.append(
                 ExperimentRecord(
                     batch_id=batch_id,

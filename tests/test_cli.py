@@ -391,6 +391,43 @@ class TestAnalyze:
         assert "m must be a positive integer" in capsys.readouterr().err
         assert not list(tmp_path.glob("an.*"))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [None, {"sigma": -0.5}, {"sigma": "0.1"}, {"value": True}, {"theta_full": None}, "no_sigma"],
+        ids=["not_object", "negative_sigma", "string_sigma", "bool_value", "null_theta", "no_sigma"],
+    )
+    def test_bad_fit_report_is_config_error_before_any_output(self, tmp_path, idle_schedule, capsys, bad):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", idle_schedule,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        good = {"parameter": "gamma_d", "theta_full": 1.0, "value": 1.1, "sigma": 0.1}
+        if bad is None:
+            report = [good]
+        elif bad == "no_sigma":
+            report = {"schema": 1, "ratios": [good, {k: v for k, v in good.items() if k != "sigma"}]}
+        else:
+            report = {"schema": 1, "ratios": [good, {**good, **bad}]}
+        fits = _write(tmp_path / "bad_fit.json", report)
+        rc = main(["analyze", "--data", sim + ".records.csv", "--fits", fits, "--out", str(tmp_path / "an")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_fit.json" in err
+        assert bad is None or "ratio row 1" in err
+        assert not list(tmp_path.glob("an.*"))
+
+    def test_non_finite_ratio_is_dropped_and_counted(self, tmp_path, idle_schedule):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", idle_schedule,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        good = {"parameter": "gamma_d", "theta_full": 1.0, "value": 1.1, "sigma": 0.1}
+        rows = [good, {**good, "value": math.nan}, {**good, "sigma": -math.inf}]
+        fits = _write(tmp_path / "fit.json", {"schema": 1, "ratios": rows})
+        out = str(tmp_path / "an")
+        assert main(["analyze", "--data", sim + ".records.csv", "--fits", fits, "--out", out]) == 0
+        assert json.loads((tmp_path / "an.meta.json").read_text())["dropped_ratios"] == 2
+
     def test_empty_input_is_config_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("batch_id,timestamp,theta_full,n,basis,shots,expval\n")

@@ -23,6 +23,7 @@ from noiselab.models import (
     QubitTLSParams,
     UnsupportedModelError,
 )
+from noiselab.oracles import draw_markovian, draw_pmme, draw_qubit_tls
 from noiselab.schedule import PseudoidentitySchedule
 from noiselab.synth import generate_batch, records_by_theta
 
@@ -40,6 +41,27 @@ class TestLoss:
     def test_truth_parameters_give_zero_loss_on_exact_data(self):
         recs = generate_batch(TLS, IDLE, 0, 0)
         assert loss(TLS, recs) < 1e-20
+
+    @pytest.mark.parametrize("draw", [draw_markovian, draw_qubit_tls, draw_pmme])
+    def test_exact_idle_records_and_fits_share_one_prediction(self, draw):
+        # records and loss both read schedule.bloch_trajectory, so the
+        # residual at the generating parameters is exactly zero
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            params, m = draw(rng), int(rng.integers(1, 9))
+            sched = replace(IDLE, m=m)
+            assert loss(params, generate_batch(params, sched, 0, 0), m=m) == 0.0
+
+    @pytest.mark.parametrize("draw", [draw_markovian, draw_qubit_tls])
+    def test_exact_driven_records_fit_their_truth(self, draw):
+        # n = 0 values pass through sample_shots' clamp to [-1, 1], so
+        # driven records agree to rounding, not exactly
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            params, m = draw(rng), int(rng.integers(1, 9))
+            sched = replace(SHORT_DRIVEN, m=m)
+            driven = records_by_theta(generate_batch(params, sched, 0, 0))[sched.theta_full]
+            assert loss(params, driven, m=m) < 1e-29
 
     def test_single_perturbed_record_contributes_its_square(self):
         recs = generate_batch(MARKOV, IDLE, 0, 0)

@@ -19,9 +19,10 @@ from noiselab.models import (
     qubit_tls_idle_bloch,
 )
 from noiselab.oracles import draw_markovian, draw_qubit_tls
-from noiselab.pauli import PauliVector, propagate
+from noiselab.pauli import PauliVector, PowerEngine, propagate
 from noiselab.schedule import (
     PseudoidentitySchedule,
+    bloch_trajectory,
     predict_trajectory,
     pseudoidentity_unitary,
     schedule_superoperator,
@@ -193,8 +194,25 @@ def test_idle_trajectory_matches_closed_forms():
             assert np.allclose(traj[n], closed(params, np.array([8.0 * n]))[0], atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), tls=st.booleans(), m=st.integers(1, 8))
+def test_idle_closed_form_matches_block_engine(seed, tls, m):
+    # the idle fast path against the engine route it replaces
+    rng = np.random.default_rng(seed)
+    params = draw_qubit_tls(rng) if tls else draw_markovian(rng)
+    sched = _sched(0.0, n_values=range(151), m=m)
+    engine = PowerEngine(schedule_superoperator(params, sched).matrix)
+    if tls:
+        slow = engine.states(np.arange(151), PauliVector.plus_tls_ground().coeffs)[:, [4, 8, 12]]
+    else:
+        slow = engine.states(np.arange(151), PauliVector.plus().coeffs)[:, 1:4]
+    assert np.max(np.abs(bloch_trajectory(params, sched) - slow)) < 1e-11
+
+
 def test_pmme_rejects_driven_schedule():
     p = PMMEParams(delta_omega=0.01, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.001, b=0.0)
+    with pytest.raises(UnsupportedModelError):
+        bloch_trajectory(p, _sched(1.0))
     with pytest.raises(UnsupportedModelError):
         predict_trajectory(p, _sched(1.0))
     with pytest.raises(UnsupportedModelError):
@@ -243,6 +261,14 @@ def test_sigma_z_error_quintic_off_diagonal():
     for eps in (0.02, 0.05):
         u = pseudoidentity_unitary(2 * math.pi, m=4, sigma_z_error=eps)
         assert abs(u[0, 1]) == pytest.approx((math.pi**2 / 2.0) * eps**5, rel=0.3)
+
+
+def test_unitary_m_is_a_positive_integer():
+    # the schedule's rule for m: no bool, any integral number
+    with pytest.raises(ValueError):
+        pseudoidentity_unitary(1.1, m=True)
+    u = pseudoidentity_unitary(1.1, m=np.int64(4), over_rotation=0.02)
+    assert np.array_equal(u, pseudoidentity_unitary(1.1, m=4, over_rotation=0.02))
 
 
 def test_unitary_stays_unitary():

@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import (
     aggregate_ratios,
+    bloch_series,
     density_profile,
     detect_nonmarkovianity,
     fit_purity,
@@ -425,6 +426,11 @@ def cmd_analyze(args) -> int:
     if not records:
         raise CliError("no records in input")
     groups = _group_records(records)
+    for (batch_id, theta), recs in groups.items():
+        try:
+            bloch_series(recs)
+        except ValueError as exc:
+            raise CliError(f"batch {batch_id!r} at theta_full {theta!r}: {exc}") from exc
     outputs = {}
 
     obs_path = f"{args.out}.observables.csv"

@@ -32,6 +32,7 @@ import numpy as np
 
 from .analysis import extract_phasors, peak_threshold, records_shots
 from .models import MODEL_TAGS, NoiseParams, PMMEParams, UnsupportedModelError, params_to_dict
+from .models import _check_finite, _check_rate
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
 from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_trajectory
 # unused here; perfbench's tracer test reads fitting.schedule_superoperator (ROADMAP item 1)
@@ -257,10 +258,11 @@ class _Layout:
 def _make_layout(model: str, thetas: Sequence[float], config: FitConfig) -> _Layout:
     names = PARAM_NAMES[model]
     frozen_src = _DEFAULT_FROZEN[model] if config.frozen is None else config.frozen
-    frozen = {k: float(v) for k, v in frozen_src.items()}
-    for key in frozen:
+    frozen = {}
+    for key, value in frozen_src.items():
         if key not in names:
             raise ValueError(f"cannot freeze {key!r}: not a {model} parameter")
+        frozen[key] = (_check_rate if key in _NONNEGATIVE else _check_finite)(f"frozen {key}", value)
     tie_b = bool(config.tie_b)
     if tie_b and model != "pmme":
         raise ValueError("tie_b only applies to pmme fits")

@@ -34,10 +34,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PAULI_BY_CHAR = {"I": IDENTITY_2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-# Condition-number ceiling above which the eigen-route for matrix powers is
-# abandoned in favour of binary exponentiation.
-_EIG_COND_LIMIT = 1e8
-
 
 def pauli_basis(q: int) -> list[np.ndarray]:
     """Lexicographic Pauli product basis for q qubits (q in {1, 2})."""
@@ -239,34 +235,17 @@ def propagate(gen: GeneratorMatrix, duration: float) -> Superoperator:
 
 
 class PowerEngine:
-    """Evaluate Lambda^n c_0 for many n from one decomposition.
+    """Evaluate Lambda^n c0 for many n by stepping along the sorted n grid.
 
-    Diagonalises Lambda once and evaluates eigenvalue powers; if the
-    eigenvector matrix is ill-conditioned (cond > 1e8) or the reconstruction
-    is poor, falls back to binary exponentiation per requested n.
+    The running state advances from one requested n to the next by
+    Lambda^gap, with one ``matrix_power`` per distinct gap, so an evenly
+    spaced grid costs one power plus one matrix-vector product per point.
+    Only products of Lambda are formed, so a defective or near-defective
+    Lambda (no well-conditioned eigenvector basis) is handled like any other.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=float)
-        self._use_eig = False
-        try:
-            w, v = np.linalg.eig(self.matrix)
-        except np.linalg.LinAlgError:
-            return
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-            return
-        cond = np.linalg.cond(v)
-        if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
-            return
-        vinv = np.linalg.inv(v)
-        recon = (v * w) @ vinv
-        scale = max(1.0, np.abs(self.matrix).max())
-        if np.abs(recon - self.matrix).max() > 1e-10 * scale * cond:
-            return
-        self._w = w
-        self._v = v
-        self._vinv = vinv
-        self._use_eig = True
 
     def states(self, ns: Sequence[int], c0: np.ndarray) -> np.ndarray:
         """Array of Lambda^n c0 over ns, shape (len(ns), dim); row trace pinned."""
@@ -275,16 +254,20 @@ class PowerEngine:
             raise ValueError("ns must be a 1-d integer array")
         if (ns < 0).any():
             raise ValueError("repetition counts must be non-negative")
-        c0 = np.asarray(c0, dtype=float)
-        if self._use_eig:
-            weights = self._vinv @ c0.astype(complex)
-            lam_pow = self._w[None, :] ** ns[:, None]
-            out = (lam_pow * weights[None, :]) @ self._v.T
-            out = out.real
-        else:
-            out = np.empty((len(ns), c0.shape[0]))
-            for k, n in enumerate(ns):
-                out[k] = np.linalg.matrix_power(self.matrix, int(n)) @ c0
+        state = np.asarray(c0, dtype=float)
+        if state.shape != self.matrix.shape[:1]:
+            raise ValueError(f"c0 must have shape {self.matrix.shape[:1]}, got {state.shape}")
+        out = np.empty((len(ns), state.shape[0]))
+        steps: dict[int, np.ndarray] = {}
+        reached = 0
+        for k in np.argsort(ns, kind="stable"):
+            gap = int(ns[k]) - reached
+            if gap:
+                if gap not in steps:
+                    steps[gap] = np.linalg.matrix_power(self.matrix, gap)
+                state = steps[gap] @ state
+                reached += gap
+            out[k] = state
         out[:, 0] = 1.0
         return out
 

@@ -19,7 +19,7 @@ sequence, so one idle pseudoidentity is exactly 2 m gate units of free decay.
 `bloch_trajectory` is the one prediction path from noise parameters to qubit
 expectation values: synthetic records (`synth`) and every fit (`fitting`) read
 it.  Idle schedules take the model's closed-form free decay at t = 2 m n;
-driven ones diagonalise the block superoperator once and apply it n times.
+driven ones step the block superoperator's powers along the sorted n grid.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ def bloch_trajectory(params: NoiseParams, schedule: PseudoidentitySchedule) -> n
 
     The qubit starts in |+> (the TLS, if present, in its ground state).  An
     idle schedule is 2 m n gate units of free decay, read from the model's
-    closed form; a driven block superoperator is diagonalised once and
-    applied n times.  Memory-kernel parameters have no driven block, so a
-    driven schedule raises UnsupportedModelError in schedule_superoperator.
+    closed form; a driven block superoperator is raised to each n by
+    stepping along the sorted n grid (`PowerEngine`).  Memory-kernel
+    parameters have no driven block, so a driven schedule raises
+    UnsupportedModelError in schedule_superoperator.
     """
     ns = np.asarray(schedule.n_values, dtype=int)
     if schedule.theta_full == 0.0:

@@ -35,9 +35,8 @@ from .schedule import BASES, PseudoidentitySchedule, _count, bloch_trajectory
 
 _CSV_FIELDS = ("batch_id", "timestamp", "theta_full", "n", "basis", "shots", "expval")
 
-# parameter names allowed to drift on each time scale
-_DAY_SCALE_PARAMS = ("delta_omega", "gamma_ad", "gamma_d")
-_BATCH_SCALE_PARAMS = ("delta_omega", "gamma_ad", "gamma_d")
+# parameter names allowed to drift, on either time scale
+_DRIFT_PARAMS = ("delta_omega", "gamma_ad", "gamma_d")
 
 
 @dataclass(frozen=True)
@@ -108,22 +107,11 @@ def generate_batch(
     seed: int | np.random.Generator,
     batch_id: str = "batch-0000",
     timestamp: int = 0,
-    params_driven: NoiseParams | None = None,
 ) -> list[ExperimentRecord]:
     """Records for one batch: the theta_full = 0 partner plus the driven
-    pseudoidentity (skipped if theta_full is already 0).
-
-    params_driven, if given, applies to the driven member only - useful for
-    injecting drive-amplitude-dependent parameter shifts.
-    """
-    rng = np.random.default_rng(seed)
-    thetas = sorted({0.0, float(schedule.theta_full)})
-    out: list[ExperimentRecord] = []
-    for theta in thetas:
-        sched = replace(schedule, theta_full=theta)
-        p = params if theta == 0.0 or params_driven is None else params_driven
-        out.extend(_theta_records(p, sched, shots, rng, batch_id, timestamp))
-    return out
+    pseudoidentity (skipped if theta_full is already 0)."""
+    grid = [replace(schedule, theta_full=t) for t in sorted({0.0, float(schedule.theta_full)})]
+    return generate_grid_batch(params, grid, shots, seed, batch_id, timestamp)
 
 
 def generate_grid_batch(
@@ -184,15 +172,15 @@ class DriftProcess:
         object.__setattr__(self, "nu_distribution", (
             _check_finite("nu_distribution mean", mean), _check_rate("nu_distribution spread", spread),
         ))
-        for name, allowed in (("day_scales", _DAY_SCALE_PARAMS), ("batch_scales", _BATCH_SCALE_PARAMS)):
+        for name in ("day_scales", "batch_scales"):
             scales = getattr(self, name)
             if scales is None:
                 continue
             if not isinstance(scales, Mapping):
                 raise ValueError(f"{name} must map parameter names to steps, got {scales!r}")
             for key in scales:
-                if key not in allowed:
-                    raise ValueError(f"{name} key {key!r} not one of {allowed}")
+                if key not in _DRIFT_PARAMS:
+                    raise ValueError(f"{name} key {key!r} not one of {_DRIFT_PARAMS}")
             object.__setattr__(self, name, {k: _check_rate(f"{name}[{k!r}]", v) for k, v in scales.items()})
 
 
@@ -230,7 +218,7 @@ def drift_path(
                 for k in batch_walk:
                     batch_walk[k] += rng.standard_normal()
             values = {}
-            for name in ("delta_omega", "gamma_ad", "gamma_d"):
+            for name in _DRIFT_PARAMS:
                 value = getattr(base, name)
                 if name in day_walk:
                     value = value * (1.0 + day_scales[name] * day_walk[name])

@@ -271,9 +271,10 @@ def test_statistics_layer(capsys):
         shifted = replace(base, delta_omega=base.delta_omega * (1.0 - c_true * theta_g**2))
         values, sigmas = [], []
         for day in range(3):
-            records = generate_batch(base, sched, 2048,
-                                     seed=100 * day + int(theta * 1000),
-                                     params_driven=shifted)
+            # one stream: the idle partner at base, then the driven member shifted
+            rng = np.random.default_rng(100 * day + int(theta * 1000))
+            records = (generate_grid_batch(base, [replace(sched, theta_full=0.0)], 2048, rng)
+                       + generate_grid_batch(shifted, [sched], 2048, rng))
             fit = fit_model("markovian", records, FitConfig(starts=6))
             est = {e.parameter: e for e in parameter_ratios(fit)}["delta_omega"]
             stable = stable and fit.converged and not est.unstable

@@ -87,8 +87,7 @@ class TestSimulate:
         assert rc == 0
         records = read_records_csv(out + ".records.csv")
         assert len(records) == 4 * len(IDLE_N) * 3
-        # exact sampling: from |+> every X expectation at n = 0 is 1 up to
-        # the engine's eigendecomposition roundoff
+        # exact sampling: from |+> every X expectation at n = 0 is 1
         assert all(
             abs(r.expval - 1.0) < 1e-12 for r in records if r.n == 0 and r.basis == "X"
         )
@@ -391,6 +390,22 @@ class TestAnalyze:
         assert "m must be a positive integer" in capsys.readouterr().err
         assert not list(tmp_path.glob("an.*"))
 
+    @pytest.mark.parametrize("fault", ["missing_basis", "duplicate"])
+    def test_incomplete_group_is_config_error_before_any_output(self, tmp_path, capsys, fault):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        bases = ["X", "Y"] if fault == "missing_basis" else ["X", "Y", "Z"]
+        sched = _write(tmp_path / "s.json", {"theta_full": 0.0, "n_values": IDLE_N, "bases": bases})
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", sched,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        data = ["--data", sim + ".records.csv"] * (2 if fault == "duplicate" else 1)
+        rc = main(["analyze", *data, "--out", str(tmp_path / "an")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "batch 'batch-0000' at theta_full 0.0" in err
+        assert ("missing bases ['Z']" if fault == "missing_basis" else "duplicate record") in err
+        assert not list(tmp_path.glob("an.*"))
+
     @pytest.mark.parametrize(
         "bad",
         [None, {"sigma": -0.5}, {"sigma": "0.1"}, {"value": True}, {"theta_full": None}, "no_sigma"],
@@ -563,6 +578,17 @@ class TestParser:
                    "--shots", "0", "--seed", "0", "--out", str(tmp_path / "run")])
         assert rc == 2
         assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_freeze_value_is_config_error(self, tmp_path, idle_schedule, value):
+        params = _write(tmp_path / "p.json", TLS_PARAMS)
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", idle_schedule,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        rc = main(["fit", "--model", "qubit_tls", "--data", sim + ".records.csv",
+                   "--out", str(tmp_path / "fit.json"), "--freeze", f"gamma_ad={value}"])
+        assert rc == 2
+        assert not (tmp_path / "fit.json").exists()
 
     def test_bad_freeze_syntax_is_config_error(self, tmp_path, idle_schedule):
         params = _write(tmp_path / "p.json", TLS_PARAMS)

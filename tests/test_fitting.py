@@ -208,6 +208,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="freeze"):
             fit_model("markovian", recs, FitConfig(frozen={"nu_zx": 0.0}))
 
+    @pytest.mark.parametrize("frozen", [
+        {"gamma_ad": -1.0}, {"gamma_ad": float("nan")}, {"kappa": True}, {"kappa": "0.001"},
+    ])
+    def test_bad_frozen_value_rejected(self, frozen):
+        recs = generate_batch(TLS, IDLE, 0, 0)
+        with pytest.raises(ValueError, match="frozen"):
+            fit_model("qubit_tls", recs, FitConfig(frozen=frozen))
+
     def test_sharing_unknown_parameter_rejected(self):
         recs = generate_batch(MARKOV, SHORT_DRIVEN, 0, 0)
         with pytest.raises(ValueError, match="shared"):

@@ -1,9 +1,13 @@
 """Pauli-coordinate plumbing: bases, generators, propagation, powers."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from noiselab.models import QubitTLSParams
+from noiselab.oracles import draw_markovian, draw_qubit_tls
 from noiselab.pauli import (
     PauliVector,
     PowerEngine,
@@ -18,6 +22,7 @@ from noiselab.pauli import (
     propagate,
     purity,
 )
+from noiselab.schedule import PseudoidentitySchedule, schedule_superoperator
 
 L_AD = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -110,35 +115,6 @@ def test_superoperator_composition_order():
     assert np.allclose(ab.coeffs, manual.coeffs, atol=1e-14)
 
 
-def test_power_engine_matches_matrix_power():
-    gen = build_generator([("Z", 0.11)], [(L_AD, 0.02), (SIGMA_Z, 0.01)], 1)
-    sup = propagate(gen, 8.0)
-    engine = PowerEngine(sup.matrix)
-    assert engine._use_eig
-    ns = np.array([0, 1, 5, 17])
-    c0 = PauliVector.plus().coeffs
-    states = engine.states(ns, c0)
-    for row, n in zip(states, ns):
-        ref = np.linalg.matrix_power(sup.matrix, int(n)) @ c0
-        assert np.allclose(row, ref, atol=1e-10)
-        assert row[0] == 1.0
-
-
-def test_power_engine_fallback_matches_matrix_power():
-    # a Jordan block has no eigenvector basis, so the engine must take the
-    # matrix_power route
-    mat = np.eye(4)
-    mat[1, 1] = mat[2, 2] = 0.9
-    mat[1, 2] = 1.0
-    engine = PowerEngine(mat)
-    assert not engine._use_eig
-    ns = np.array([0, 1, 2, 7, 30])
-    c0 = np.array([1.0, 0.2, -0.5, 0.3])
-    states = engine.states(ns, c0)
-    for row, n in zip(states, ns):
-        assert np.array_equal(row, np.linalg.matrix_power(mat, int(n)) @ c0)
-
-
 def test_power_engine_validates_n():
     sup = propagate(build_generator([("Z", 0.1)], [], 1), 1.0)
     engine = PowerEngine(sup.matrix)
@@ -151,6 +127,8 @@ def test_power_engine_validates_n():
         engine.states(np.array([True]), c0)
     with pytest.raises(ValueError):
         engine.states(np.array([[1]]), c0)
+    with pytest.raises(ValueError):
+        engine.states(np.array([0]), PauliVector.plus_tls_ground().coeffs)
 
 
 def test_purity_values():
@@ -207,3 +185,59 @@ def test_c0_pinned_under_powers(seed, n):
     sup = propagate(gen, 3.0)
     out = PowerEngine(sup.matrix).states(np.array([n]), PauliVector.plus().coeffs)
     assert out[0, 0] == 1.0
+
+
+# a Jordan block has no eigenvector basis at all
+_JORDAN = np.eye(4)
+_JORDAN[1, 1] = _JORDAN[2, 2] = 0.9
+_JORDAN[1, 2] = 1.0
+_THETAS = st.sampled_from([0.0, math.pi / 5.0, 2.0 * math.pi / 5.0, math.pi])
+
+
+def _block_and_state(params, theta):
+    sup = schedule_superoperator(params, PseudoidentitySchedule(theta_full=theta, n_values=(0,)))
+    c0 = PauliVector.plus_tls_ground() if sup.q == 2 else PauliVector.plus()
+    return sup.matrix, c0.coeffs
+
+
+def _drawn_block(draw, seed, theta):
+    return _block_and_state(draw(np.random.default_rng(seed)), theta)
+
+
+def _critical_tls_block(theta, delta):
+    # kappa = 8 nu_zx is the TLS critical damping, where the block is defective
+    nu = 0.01
+    params = QubitTLSParams(delta_omega=0.003, gamma_ad=1e-4, gamma_d=3e-4,
+                            nu_zx=nu, kappa=8.0 * nu * (1.0 + delta))
+    return _block_and_state(params, theta)
+
+
+_BLOCKS = st.one_of(
+    st.builds(_drawn_block, st.sampled_from([draw_markovian, draw_qubit_tls]),
+              st.integers(0, 10_000), _THETAS),
+    st.just((_JORDAN, np.array([1.0, 0.2, -0.5, 0.3]))),
+    st.builds(_critical_tls_block, _THETAS, st.sampled_from([1e-4, 1e-6, 1e-8, 0.0])),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block=_BLOCKS, ns=st.lists(st.integers(0, 200), min_size=1, max_size=12))
+@example(block=_critical_tls_block(0.0, 1e-6), ns=[150, 0, 70, 70, 10])
+def test_power_engine_matches_matrix_power(block, ns):
+    # any order, repeats included, and near-defective blocks
+    mat, c0 = block
+    out = PowerEngine(mat).states(np.array(ns), c0)
+    for row, n in zip(out, ns):
+        assert np.max(np.abs(row - np.linalg.matrix_power(mat, n) @ c0)) <= 1e-12
+    assert np.all(out[:, 0] == 1.0)
+
+
+def test_power_engine_fallback_matches_matrix_power():
+    # the Jordan block has no eigenvector basis; stepping along the grid
+    # multiplies by Lambda^gap, so rows agree with matrix_power to roundoff
+    # rather than bit for bit
+    c0 = np.array([1.0, 0.2, -0.5, 0.3])
+    ns = np.array([0, 1, 2, 7, 30])
+    states = PowerEngine(_JORDAN).states(ns, c0)
+    for row, n in zip(states, ns):
+        assert np.max(np.abs(row - np.linalg.matrix_power(_JORDAN, int(n)) @ c0)) <= 1e-12

@@ -128,19 +128,6 @@ class TestGenerateBatch:
         for rec in recs:
             assert rec.expval == _clamped(traj[rec.n][axis[rec.basis]])
 
-    def test_params_driven_applies_to_driven_member_only(self):
-        sched = PseudoidentitySchedule(theta_full=1.2, n_values=SMALL_GRID)
-        shifted = MarkovianParams(delta_omega=0.02, gamma_ad=1e-4, gamma_d=3e-4)
-        recs = generate_batch(MARKOV, sched, 0, 0, params_driven=shifted)
-        groups = records_by_theta(recs)
-        idle_traj = predict_trajectory(MARKOV, PseudoidentitySchedule(theta_full=0.0, n_values=SMALL_GRID))
-        driven_traj = predict_trajectory(shifted, sched)
-        axis = {"X": 0, "Y": 1, "Z": 2}
-        for rec in groups[0.0]:
-            assert rec.expval == _clamped(idle_traj[rec.n][axis[rec.basis]])
-        for rec in groups[1.2]:
-            assert rec.expval == _clamped(driven_traj[rec.n][axis[rec.basis]])
-
     def test_batch_metadata_propagates(self):
         sched = PseudoidentitySchedule(theta_full=0.0, n_values=SMALL_GRID)
         recs = generate_batch(MARKOV, sched, 8, 0, batch_id="d001-b003", timestamp=360)

@@ -9,8 +9,12 @@ Three detectors run on a single-theta record set:
        p(n) = (1 + cos^2(2 pi f_p n T) e^{-gamma_p n T}) / 2 ,   T = 2 m,
 
    and report a profile-likelihood z-score for f_p > 0 (the covariance
-   z-score is ill-defined at the f_p = 0 boundary where dp/df vanishes),
-   calibrated for the frequency scan so purely decaying data stays below 3.
+   z-score is ill-defined at the f_p = 0 boundary where dp/df vanishes).
+   `_scan_z` assumes a chi^2_2 null for the likelihood ratio at a fixed
+   frequency and a Sidak correction for the scan over the frequency bins, so
+   z = 3 is a nominal one-sided tail of 1.35e-3 per record set.  That null
+   has not been checked against a measured null tail: memoryless records
+   can exceed 3 (theta_full = 2 pi echo records reached 3.46).
 
 2. Dominant-frequency count of z_n = <sx> + i <sy>.  Markovian evolution
    contributes a single damped phasor (a +/- theta pair under drive, which
@@ -481,16 +485,26 @@ class WeightedRatio:
     n: int
 
 
-def aggregate_ratios(values: Sequence[float], sigmas: Sequence[float]) -> WeightedRatio:
+def _estimates(values: Sequence[float], sigmas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, sigmas) as checked float arrays: equal-length, non-empty, 1-d,
+    finite, sigmas non-negative; a zero sigma is floored at 1e-12 with a
+    RuntimeWarning."""
     values = np.asarray(values, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     if values.shape != sigmas.shape or values.ndim != 1 or values.shape[0] == 0:
         raise ValueError("values and sigmas must be equal-length non-empty 1-d arrays")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(sigmas))):
+        raise ValueError("values and sigmas must be finite")
     if np.any(sigmas < 0):
         raise ValueError("sigmas must be non-negative")
     if np.any(sigmas == 0):
-        warnings.warn("zero sigma in aggregation; flooring at 1e-12", RuntimeWarning, stacklevel=2)
+        warnings.warn("zero sigma in aggregation; flooring at 1e-12", RuntimeWarning, stacklevel=3)
         sigmas = np.maximum(sigmas, _SIGMA_FLOOR)
+    return values, sigmas
+
+
+def aggregate_ratios(values: Sequence[float], sigmas: Sequence[float]) -> WeightedRatio:
+    values, sigmas = _estimates(values, sigmas)
     w = 1.0 / sigmas**2
     mean = float(np.sum(w * values) / np.sum(w))
     sigma_fit = float(1.0 / math.sqrt(np.sum(w)))
@@ -507,11 +521,9 @@ def aggregate_ratios(values: Sequence[float], sigmas: Sequence[float]) -> Weight
 def density_profile(
     values: Sequence[float], sigmas: Sequence[float], z_grid: np.ndarray
 ) -> np.ndarray:
-    """Equal-weight Gaussian mixture density over z: mean_k N(z; r_k, s_k)."""
-    values = np.asarray(values, dtype=float)
-    sigmas = np.maximum(np.asarray(sigmas, dtype=float), _SIGMA_FLOOR)
-    if values.shape != sigmas.shape or values.ndim != 1 or values.shape[0] == 0:
-        raise ValueError("values and sigmas must be equal-length non-empty 1-d arrays")
+    """Equal-weight Gaussian mixture density over z: mean_k N(z; r_k, s_k).
+    The (r_k, s_k) pairs are checked as in aggregate_ratios."""
+    values, sigmas = _estimates(values, sigmas)
     z = np.asarray(z_grid, dtype=float)
     out = np.zeros_like(z)
     for r, s in zip(values, sigmas):

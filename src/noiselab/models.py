@@ -43,11 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .pauli import (
-    GeneratorMatrix,
-    PauliVector,
-    build_generator,
-)
+from .pauli import PauliVector, build_generator
 
 # Jump operator relaxing |1> -> |0>.
 L_AD = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -175,7 +171,7 @@ def params_from_dict(data: dict) -> NoiseParams:
 # ---------------------------------------------------------------------------
 # generators
 
-def markovian_generator(params: MarkovianParams, drive: float = 0.0) -> GeneratorMatrix:
+def markovian_generator(params: MarkovianParams, drive: float = 0.0) -> np.ndarray:
     """4x4 Pauli-coordinate generator for the driven Markovian qubit.
 
     drive is the sigma_x Hamiltonian coefficient; its sign is the drive axis
@@ -186,7 +182,7 @@ def markovian_generator(params: MarkovianParams, drive: float = 0.0) -> Generato
     return build_generator(ham, diss, 1)
 
 
-def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> GeneratorMatrix:
+def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> np.ndarray:
     """16x16 generator for qubit (x) TLS.
 
     drive is the sigma_x (x) I coefficient, signed as in markovian_generator.
@@ -324,8 +320,8 @@ def pmme_numeric_oracle(
     h = h_req / refine
     n_fine = (t.shape[0] - 1) * refine + 1
 
-    l0 = markovian_generator(params.markovian()).entries
-    l1 = build_generator([], [("Z", params.gamma_z)], 1).entries
+    l0 = markovian_generator(params.markovian())
+    l1 = build_generator([], [("Z", params.gamma_z)], 1)
     kernel_step = expm((l0 + l1 - params.b * np.eye(4)) * h)
 
     if state0 is None:

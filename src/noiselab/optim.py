@@ -1,6 +1,6 @@
 """Shared nonlinear least-squares machinery.
 
-All model fits in this package are small (2-11 parameter) smooth least-squares
+All model fits in this package are small (1-10 parameter) smooth least-squares
 problems with nasty multimodality in the frequency directions, so the strategy
 is everywhere the same: from each of several starts, minimise the sum of
 squared residuals with the bounded trust-region reflective method of Branch,

@@ -166,7 +166,7 @@ def markovian_engine_vs_rk4(rng: np.random.Generator, draws: int) -> float:
         gen, h = markovian_generator(p), p.delta_omega * SIGMA_Z
         jumps = [(lower, p.gamma_ad), (SIGMA_Z, p.gamma_d)]
         return max(
-            np.max(np.abs(propagate(gen, t).apply(plus).coeffs - evolve_state(h, jumps, plus, t).coeffs))
+            np.max(np.abs(propagate(gen, t) @ plus.coeffs - evolve_state(h, jumps, plus, t).coeffs))
             for t in (0.7, 6.0, 25.0)
         )
 
@@ -178,7 +178,7 @@ def qubit_tls_engine_vs_closed_form(rng: np.random.Generator, draws: int) -> flo
     steps = np.arange(0, 201, 5)
 
     def deviation(p: QubitTLSParams) -> float:
-        engine = PowerEngine(propagate(qubit_tls_generator(p), 1.0).matrix)
+        engine = PowerEngine(propagate(qubit_tls_generator(p), 1.0))
         states = engine.states(steps, PauliVector.plus_tls_ground().coeffs)
         return np.max(np.abs(states[:, [4, 8, 12]] - qubit_tls_idle_bloch(p, steps.astype(float))))
 

@@ -17,6 +17,10 @@ becomes a real 4^q x 4^q matrix l_ji = 2^{-q} Tr[F_j L[F_i]] acting on the
 coefficient vector, so time evolution is c(t) = exp(l t) c(0).  Trace
 preservation means the first row of l vanishes identically; we zero it exactly
 so that c_0 = 1 survives matrix exponentials bit-for-bit.
+
+Generators and the maps `propagate` returns are plain float ndarrays (4x4 for
+q = 1, 16x16 for q = 2) and compose with ``@``; states are `PauliVector`s,
+whose type enforces c_0 = 1.
 """
 
 from __future__ import annotations
@@ -116,58 +120,6 @@ def from_density_matrix(rho: np.ndarray) -> PauliVector:
     return PauliVector(coeffs)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Real GKLS generator in Pauli coordinates; first row identically zero."""
-
-    entries: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        d = 4 ** self.q
-        if m.shape != (d, d):
-            raise ValueError(f"generator for q={self.q} must be {d}x{d}, got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Linear map on Pauli coefficient vectors, with the wall-clock duration
-    (in gate units) it represents.  Composition via ``a @ b`` applies b first."""
-
-    matrix: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (4, 16):
-            raise ValueError(f"superoperator matrix must be 4x4 or 16x16, got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def q(self) -> int:
-        return 1 if self.matrix.shape[0] == 4 else 2
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if not isinstance(other, Superoperator):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError("cannot compose superoperators of different dimension")
-        return Superoperator(self.matrix @ other.matrix, self.duration + other.duration)
-
-    def apply(self, state: PauliVector) -> PauliVector:
-        if state.q != self.q:
-            raise ValueError("state dimension does not match superoperator")
-        out = self.matrix @ state.coeffs
-        out[0] = 1.0  # trace row is exact by construction
-        return PauliVector(out)
-
-
 def _dissipator_term(jump: np.ndarray, op: np.ndarray) -> np.ndarray:
     """L op L^+ - {L^+ L, op}/2 for a single jump operator."""
     ldl = jump.conj().T @ jump
@@ -178,7 +130,7 @@ def build_generator(
     hamiltonian: Sequence[tuple[str, float]],
     dissipators: Sequence[tuple[str | np.ndarray, float]],
     q: int,
-) -> GeneratorMatrix:
+) -> np.ndarray:
     """Project a GKLS generator onto Pauli coordinates.
 
     hamiltonian: (pauli string, coefficient) pairs summed into H.
@@ -221,17 +173,18 @@ def build_generator(
             raise ValueError("generator projection has imaginary residue; non-Hermitian input?")
         entries[:, i] = proj.real
     entries[0, :] = 0.0  # trace preservation, exact by construction
-    return GeneratorMatrix(entries, q)
+    return entries
 
 
-def propagate(gen: GeneratorMatrix, duration: float) -> Superoperator:
-    """exp(l * duration) with an exact unit trace row."""
+def propagate(gen: np.ndarray, duration: float) -> np.ndarray:
+    """exp(l * duration) with an exact unit trace row, so (map @ c)[0] is
+    exactly 1 for any finite coefficient vector c with c[0] = 1."""
     if not np.isfinite(duration) or duration < 0:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    mat = expm(gen.entries * duration)
+    mat = expm(gen * duration)
     mat[0, :] = 0.0
     mat[0, 0] = 1.0
-    return Superoperator(mat, duration)
+    return mat
 
 
 class PowerEngine:
@@ -270,18 +223,3 @@ class PowerEngine:
             out[k] = state
         out[:, 0] = 1.0
         return out
-
-
-def purity(state: PauliVector) -> float:
-    """Tr[rho^2] = (1 + |c|^2)/2 for a single qubit."""
-    if state.q != 1:
-        raise ValueError("purity is defined on single-qubit states; trace out the TLS first")
-    cx, cy, cz = state.coeffs[1:]
-    return 0.5 * (1.0 + cx * cx + cy * cy + cz * cz)
-
-
-def partial_trace_tls(state: PauliVector) -> PauliVector:
-    """Qubit marginal of a q=2 state: keep coefficients with identity on the TLS."""
-    if state.q != 2:
-        raise ValueError("partial_trace_tls expects a q=2 state")
-    return PauliVector(state.coeffs[[0, 4, 8, 12]])

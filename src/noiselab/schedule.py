@@ -44,14 +44,7 @@ from .models import (
     qubit_tls_generator,
     qubit_tls_idle_bloch,
 )
-from .pauli import (
-    PauliVector,
-    PowerEngine,
-    SIGMA_X,
-    SIGMA_Z,
-    Superoperator,
-    propagate,
-)
+from .pauli import SIGMA_X, SIGMA_Z, PauliVector, PowerEngine, propagate
 
 BASES = ("X", "Y", "Z")
 
@@ -133,8 +126,9 @@ class PseudoidentitySchedule:
         )
 
 
-def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule) -> Superoperator:
-    """Superoperator of one full pseudoidentity repetition under the noise model.
+def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule) -> np.ndarray:
+    """Block superoperator of one full pseudoidentity repetition under the noise
+    model, as a float array whose first row is exactly (1, 0, ..., 0).
 
     The block is exp(m L(-Omega)) exp(m L(+Omega)): m unit gates at drive
     +Omega, then m at -Omega, Omega = theta_full / (2 m).  Markovian params
@@ -177,8 +171,8 @@ def bloch_trajectory(params: NoiseParams, schedule: PseudoidentitySchedule) -> n
         if isinstance(params, PMMEParams):
             return pmme_idle_bloch(params, t)
     sup = schedule_superoperator(params, schedule)
-    engine = PowerEngine(sup.matrix)
-    if sup.q == 2:
+    engine = PowerEngine(sup)
+    if sup.shape[0] == 16:
         return engine.states(ns, PauliVector.plus_tls_ground().coeffs)[:, [4, 8, 12]]
     return engine.states(ns, PauliVector.plus().coeffs)[:, 1:4]
 

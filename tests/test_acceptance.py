@@ -168,7 +168,7 @@ def test_insensitivity_points(capsys):
     worst_id = 0.0
     for theta in (0.4, 2.0, math.pi, 2.0 * math.pi, 5.7):
         sup = schedule_superoperator(noiseless, PseudoidentitySchedule(theta_full=theta, n_values=(1,)))
-        worst_id = max(worst_id, float(np.max(np.abs(sup.matrix - np.eye(4)))))
+        worst_id = max(worst_id, float(np.max(np.abs(sup - np.eye(4)))))
 
     # (b) over-rotation cancels to better than O(eps^2)
     worst_over = 0.0

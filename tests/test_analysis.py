@@ -467,6 +467,20 @@ class TestAggregation:
             aggregate_ratios([1.0], [0.1, 0.2])
         with pytest.raises(ValueError):
             aggregate_ratios([1.0], [-0.1])
+        # non-finite values or sigmas, and negative sigmas, raise in both
+        # aggregate_ratios and density_profile rather than propagate
+        z = np.linspace(0, 2, 5)
+        for values, sigmas in (
+            ([math.nan, 1.0], [0.1, 0.1]),
+            ([math.inf, 1.0], [0.1, 0.1]),
+            ([1.0, 1.0], [0.1, math.nan]),
+            ([1.0, 1.0], [0.1, math.inf]),
+            ([1.0], [-1.0]),
+        ):
+            with pytest.raises(ValueError):
+                aggregate_ratios(values, sigmas)
+            with pytest.raises(ValueError):
+                density_profile(values, sigmas, z)
 
     @settings(deadline=None, derandomize=True, max_examples=50)
     @given(

@@ -116,14 +116,32 @@ def test_block_equals_gate_by_gate_product(seed, tls, theta, m):
     else:
         params, generator = draw_markovian(rng), markovian_generator
     omega = theta / (2 * m)
-    plus = propagate(generator(params, omega), 1.0).matrix
-    minus = propagate(generator(params, -omega), 1.0).matrix
+    plus = propagate(generator(params, omega), 1.0)
+    minus = propagate(generator(params, -omega), 1.0)
     slow = np.eye(plus.shape[0])
     for gate in [plus] * m + [minus] * m:
         slow = gate @ slow
     sup = schedule_superoperator(params, _sched(theta, m=m))
-    assert sup.duration == 2 * m
-    assert np.max(np.abs(sup.matrix - slow)) < 1e-11
+    assert np.max(np.abs(sup - slow)) < 1e-11
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    tls=st.booleans(),
+    theta=st.floats(0.0, 4 * math.pi),
+    m=st.integers(1, 8),
+)
+def test_block_is_array_with_exact_trace_row(seed, tls, theta, m):
+    # the trace row is exact, so any unit-trace state keeps c_0 = 1 bit for bit
+    rng = np.random.default_rng(seed)
+    params = draw_qubit_tls(rng) if tls else draw_markovian(rng)
+    sup = schedule_superoperator(params, _sched(theta, m=m))
+    dim = 16 if tls else 4
+    assert type(sup) is np.ndarray and sup.dtype == np.float64 and sup.shape == (dim, dim)
+    assert np.array_equal(sup[0], np.eye(dim)[0])
+    c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, dim - 1)])
+    assert (sup @ c)[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +150,14 @@ def test_block_equals_gate_by_gate_product(seed, tls, theta, m):
 @pytest.mark.parametrize("theta", [0.4, 2.0, math.pi, 2 * math.pi, 5.7])
 def test_noiseless_pseudoidentity_is_identity(theta):
     sup = schedule_superoperator(NOISELESS_M, _sched(theta))
-    assert np.max(np.abs(sup.matrix - np.eye(4))) < 1e-12
+    assert np.max(np.abs(sup - np.eye(4))) < 1e-12
 
 
 def test_idle_pseudoidentity_equals_free_evolution():
     p = MarkovianParams(delta_omega=0.05, gamma_ad=0.003, gamma_d=0.007)
     sup = schedule_superoperator(p, _sched(0.0))
     idle = propagate(markovian_generator(p), 8.0)
-    assert np.max(np.abs(sup.matrix - idle.matrix)) < 1e-12
+    assert np.max(np.abs(sup - idle)) < 1e-12
 
 
 def test_detuning_phase_accumulates_when_idle():
@@ -171,7 +189,7 @@ def test_trajectory_matches_matrix_power():
     sup = schedule_superoperator(p, sched)
     c0 = PauliVector.plus_tls_ground().coeffs
     for n in sched.n_values:
-        ref = np.linalg.matrix_power(sup.matrix, n) @ c0
+        ref = np.linalg.matrix_power(sup, n) @ c0
         assert np.allclose(traj[n], ref[[4, 8, 12]], atol=1e-9)
 
 
@@ -201,7 +219,7 @@ def test_idle_closed_form_matches_block_engine(seed, tls, m):
     rng = np.random.default_rng(seed)
     params = draw_qubit_tls(rng) if tls else draw_markovian(rng)
     sched = _sched(0.0, n_values=range(151), m=m)
-    engine = PowerEngine(schedule_superoperator(params, sched).matrix)
+    engine = PowerEngine(schedule_superoperator(params, sched))
     if tls:
         slow = engine.states(np.arange(151), PauliVector.plus_tls_ground().coeffs)[:, [4, 8, 12]]
     else:

@@ -36,39 +36,24 @@ coherences pick up exp(-gamma_ad t / 2) and c_z(t) = 1 - e^{-gamma_ad t}.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .pauli import PauliVector, build_generator
+from .pauli import IDENTITY_2, PauliVector, _check_finite, _check_rate, build_generator
 
-# Jump operator relaxing |1> -> |0>.
+# Jump operator relaxing |1> -> |0>, and its qubit and TLS embeddings in the
+# qubit (x) TLS space.
 L_AD = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_L_AD_QUBIT = np.kron(L_AD, IDENTITY_2)
+_L_AD_TLS = np.kron(IDENTITY_2, L_AD)
 
 
 class UnsupportedModelError(ValueError):
     """Raised when a model cannot represent the requested situation
     (e.g. memory-kernel propagation of a driven schedule)."""
-
-
-def _check_finite(name: str, value) -> float:
-    """value as a float; a bool, a string or a non-finite number raises
-    ValueError rather than being coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {name}: {value!r}")
-    return float(value)
-
-
-def _check_rate(name: str, value) -> float:
-    value = _check_finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -192,9 +177,9 @@ def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> np.ndarra
     """
     ham = [("XI", drive), ("ZI", params.delta_omega), ("ZX", params.nu_zx)]
     diss = [
-        (np.kron(L_AD, np.eye(2)), params.gamma_ad),
+        (_L_AD_QUBIT, params.gamma_ad),
         ("ZI", params.gamma_d),
-        (np.kron(np.eye(2), L_AD), params.kappa),
+        (_L_AD_TLS, params.kappa),
     ]
     return build_generator(ham, diss, 2)
 

@@ -18,6 +18,13 @@ coefficient vector, so time evolution is c(t) = exp(l t) c(0).  Trace
 preservation means the first row of l vanishes identically; we zero it exactly
 so that c_0 = 1 survives matrix exponentials bit-for-bit.
 
+l is linear in the Hamiltonian coefficients and the rates G_k.
+`build_generator` therefore projects each unit term (the commutator with one
+Pauli string, or the dissipator of one jump operator) once, in a single
+einsum over the stacked basis.  It keeps that projection in a bounded cache
+keyed on the operator's bytes and returns the weighted sum of the cached
+terms.
+
 Generators and the maps `propagate` returns are plain float ndarrays (4x4 for
 q = 1, 16x16 for q = 2) and compose with ``@``; states are `PauliVector`s,
 whose type enforces c_0 = 1.
@@ -25,6 +32,10 @@ whose type enforces c_0 = 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,28 +50,61 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_BY_CHAR = {"I": IDENTITY_2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
+def _check_finite(name: str, value) -> float:
+    """value as a float; a bool, a string or a non-finite number raises
+    ValueError rather than being coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {name}: {value!r}")
+    return float(value)
+
+
+def _check_rate(name: str, value) -> float:
+    value = _check_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _check_q(q) -> int:
+    if isinstance(q, bool) or q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q!r}")
+    return int(q)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the stacked lexicographic basis for each q, read-only (q = 2 is
+# kron(P_a, P_b) for every pair, formed by one broadcast product), and every
+# Pauli string of length 1 and 2 as a view into it
+_SINGLES = np.stack(list(PAULI_BY_CHAR.values()))
+_BASIS = {
+    1: _frozen(_SINGLES),
+    2: _frozen((_SINGLES[:, None, :, None, :, None] * _SINGLES[None, :, None, :, None, :])
+               .reshape(16, 4, 4)),
+}
+_PAULI_STRINGS = {"".join(chars): f for q, basis in _BASIS.items()
+                  for chars, f in zip(itertools.product("IXYZ", repeat=q), basis)}
+
+
 def pauli_basis(q: int) -> list[np.ndarray]:
     """Lexicographic Pauli product basis for q qubits (q in {1, 2})."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    singles = [IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]
-    if q == 1:
-        return [p.copy() for p in singles]
-    return [np.kron(a, b) for a in singles for b in singles]
+    return [f.copy() for f in _BASIS[_check_q(q)]]
 
 
 def pauli_string_matrix(label: str, q: int) -> np.ndarray:
-    """Operator for a Pauli string like "X" (q=1) or "ZX" (q=2)."""
+    """Operator for a Pauli string like "X" (q=1) or "ZX" (q=2); read-only."""
+    q = _check_q(q)
     if len(label) != q:
         raise ValueError(f"Pauli string {label!r} has length {len(label)}, expected {q}")
     try:
-        factors = [PAULI_BY_CHAR[ch] for ch in label]
+        return _PAULI_STRINGS[label]
     except KeyError as exc:
         raise ValueError(f"unknown Pauli character in {label!r}") from exc
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 @dataclass(frozen=True)
@@ -73,6 +117,8 @@ class PauliVector:
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape not in ((4,), (16,)):
             raise ValueError(f"coefficient vector must have length 4 or 16, got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficient vector has non-finite entries")
         if abs(c[0] - 1.0) > 1e-9:
             raise ValueError(f"c_0 must equal 1 (unit trace), got {c[0]!r}")
         c = c.copy()
@@ -120,10 +166,31 @@ def from_density_matrix(rho: np.ndarray) -> PauliVector:
     return PauliVector(coeffs)
 
 
-def _dissipator_term(jump: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """L op L^+ - {L^+ L, op}/2 for a single jump operator."""
-    ldl = jump.conj().T @ jump
-    return jump @ op @ jump.conj().T - 0.5 * (ldl @ op + op @ ldl)
+@functools.lru_cache(maxsize=64)
+def _projection(q: int, kind: str, op_bytes: bytes) -> np.ndarray:
+    """Read-only Pauli projection of one unit GKLS term,
+    l_ji = 2^{-q} Tr[F_j L[F_i]], with L[rho] = -i[op, rho] for kind "H" and
+    op rho op^+ - {op^+ op, rho}/2 for kind "D"; the trace row is zeroed.
+
+    Keyed on the operator's complex128 bytes, so equal operators share one
+    entry however they were given, and the bounded cache cannot be grown
+    without limit by arbitrary jump matrices."""
+    dim = 2**q
+    op = np.frombuffer(op_bytes, dtype=complex).reshape(dim, dim)
+    basis = _BASIS[q]
+    if kind == "H":
+        images = -1j * (op @ basis - basis @ op)
+    else:
+        ldl = op.conj().T @ op
+        images = op @ basis @ op.conj().T - 0.5 * (ldl @ basis + basis @ ldl)
+    proj = np.einsum("jab,iba->ji", basis, images) / dim
+    # relative: a unit term's roundoff scales with |op|^2, and its rate,
+    # however small, is applied only afterwards
+    if np.abs(proj.imag).max() > 1e-12 * max(1.0, np.abs(proj.real).max()):
+        raise ValueError("generator projection has imaginary residue; non-Hermitian input?")
+    out = proj.real.copy()
+    out[0, :] = 0.0
+    return _frozen(out)
 
 
 def build_generator(
@@ -133,47 +200,45 @@ def build_generator(
 ) -> np.ndarray:
     """Project a GKLS generator onto Pauli coordinates.
 
-    hamiltonian: (pauli string, coefficient) pairs summed into H.
+    hamiltonian: (pauli string, coefficient) pairs summed into H; each
+        coefficient must be a finite real number.
     dissipators: (jump operator, rate) pairs; the jump may be a Pauli string
-        or an explicit 2^q x 2^q matrix.  Rates must be non-negative.
+        or an explicit 2^q x 2^q matrix with finite entries.  Rates must be
+        finite and non-negative.
 
-    The returned matrix satisfies l_ji = 2^{-q} Tr[F_j L[F_i]]; the first row
-    (trace change) is zeroed exactly and any imaginary residue beyond 1e-12 in
-    the projection raises.
+    The returned matrix satisfies l_ji = 2^{-q} Tr[F_j L[F_i]].  The
+    projection is linear in the coefficients and rates, so it is assembled as
+    sum coeff * (projection of -i[P, .]) + sum rate * (projection of the unit
+    dissipator), each unit projection computed once and then read from a
+    bounded cache keyed on (q, kind, operator bytes).  Inputs are checked
+    before anything is cached.  A term whose projection has an imaginary
+    residue beyond 1e-12 of its largest entry (or of 1, if larger) raises
+    when it is first projected.  The first row (trace change) is exactly
+    zero.
     """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
+    q = _check_q(q)
     dim = 2**q
-    basis = pauli_basis(q)
-
-    h = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for label, coeff in hamiltonian:
-        h = h + coeff * pauli_string_matrix(label, q)
-
-    jumps: list[tuple[np.ndarray, float]] = []
+        op = pauli_string_matrix(label, q)
+        terms.append((_check_finite(f"Hamiltonian coefficient of {label!r}", coeff), "H", op))
     for jump, rate in dissipators:
-        if rate < 0:
-            raise ValueError(f"dissipator rate must be non-negative, got {rate}")
+        rate = _check_rate("dissipator rate", rate)
         if isinstance(jump, str):
             op = pauli_string_matrix(jump, q)
         else:
             op = np.asarray(jump, dtype=complex)
             if op.shape != (dim, dim):
                 raise ValueError(f"jump operator must be {dim}x{dim} for q={q}, got {op.shape}")
-        jumps.append((op, float(rate)))
+            if not np.isfinite(op).all():
+                raise ValueError("jump operator has non-finite entries")
+        terms.append((rate, "D", op))
 
-    d4 = 4**q
-    entries = np.zeros((d4, d4))
-    for i, fi in enumerate(basis):
-        image = -1j * (h @ fi - fi @ h)
-        for op, rate in jumps:
-            image = image + rate * _dissipator_term(op, fi)
-        proj = np.array([np.trace(fj @ image) for fj in basis]) / dim
-        if np.abs(proj.imag).max() > 1e-12:
-            raise ValueError("generator projection has imaginary residue; non-Hermitian input?")
-        entries[:, i] = proj.real
-    entries[0, :] = 0.0  # trace preservation, exact by construction
-    return entries
+    # every unit projection has an exactly zero trace row, so the sum has too
+    out = np.zeros((4**q, 4**q))
+    for weight, kind, op in terms:
+        out += weight * _projection(q, kind, op.tobytes())
+    return out
 
 
 def propagate(gen: np.ndarray, duration: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Pauli-coordinate plumbing: bases, generators, propagation, powers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noiselab import pauli
 from noiselab.models import QubitTLSParams
 from noiselab.oracles import draw_markovian, draw_qubit_tls
 from noiselab.pauli import (
@@ -58,6 +60,19 @@ def test_c0_must_be_one():
         PauliVector(np.array([0.9, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [1, 3])
+def test_state_coefficients_must_be_finite(bad, index):
+    coeffs = np.array([1.0, 0.1, 0.0, 0.2])
+    coeffs[index] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliVector(coeffs)
+    tls = np.zeros(16)
+    tls[[0, 4 * index + 1]] = 1.0, bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliVector(tls)
+
+
 def test_density_matrix_roundtrip():
     state = PauliVector(np.array([1.0, 0.3, -0.2, 0.4]))
     rho = density_matrix(state)
@@ -75,6 +90,40 @@ def test_build_generator_validation():
         build_generator([], [(np.eye(3), 0.1)], 1)
     gen = build_generator([("Z", 0.1)], [(L_AD, 0.05)], 1)
     assert np.all(gen[0] == 0.0)  # trace preservation row, exactly
+
+    pauli._projection.cache_clear()
+    nan_jump = L_AD.astype(complex)
+    nan_jump[1, 0] = math.nan
+    inf_jump = np.kron(L_AD, np.eye(2)).astype(complex)
+    inf_jump[0, 3] = complex(0.0, math.inf)
+    bad = [
+        ([("Z", math.nan)], [], 1),
+        ([("XI", math.inf)], [], 2),
+        ([("Z", 0.1 + 0.2j)], [], 1),
+        ([("Z", "0.1")], [], 1),
+        ([("Z", True)], [], 1),
+        ([], [("Z", math.inf)], 1),
+        ([], [(L_AD, math.nan)], 1),
+        ([("X", 0.3)], [(nan_jump, 0.1)], 1),
+        ([("ZX", 0.3)], [(inf_jump, 0.1)], 2),
+        ([("Z", 0.1)], [], True),
+        ([("Z", 0.1)], [], 3),
+    ]
+    for hamiltonian, dissipators, q in bad:
+        with pytest.raises(ValueError):
+            build_generator(hamiltonian, dissipators, q)
+    # rejected before any term, valid or not, reaches the cache
+    assert pauli._projection.cache_info().currsize == 0
+
+
+def test_pauli_string_table_is_read_only():
+    zx = pauli_string_matrix("ZX", 2)
+    assert not zx.flags.writeable
+    with pytest.raises(ValueError):
+        zx[0, 0] = 2.0
+    assert pauli_string_matrix("X", 1) is not SIGMA_X
+    with pytest.raises(ValueError):
+        pauli_string_matrix("X", True)
 
 
 def test_dephasing_coherence_rate():
@@ -118,6 +167,89 @@ def test_power_engine_validates_n():
         engine.states(np.array([[1]]), c0)
     with pytest.raises(ValueError):
         engine.states(np.array([0]), PauliVector.plus_tls_ground().coeffs)
+
+
+# ---------------------------------------------------------------------------
+# generator assembly against the per-element trace projection
+
+def _reference_generator(hamiltonian, dissipators, q):
+    """l_ji = 2^{-q} Tr[F_j L[F_i]], one basis element and one trace at a time,
+    with H summed first and every jump applied to each F_i."""
+    dim = 2**q
+    basis = pauli_basis(q)
+    h = np.zeros((dim, dim), dtype=complex)
+    for label, coeff in hamiltonian:
+        h = h + coeff * pauli_string_matrix(label, q)
+    jumps = [(pauli_string_matrix(j, q) if isinstance(j, str) else np.asarray(j, dtype=complex), r)
+             for j, r in dissipators]
+    entries = np.zeros((4**q, 4**q))
+    for i, fi in enumerate(basis):
+        image = -1j * (h @ fi - fi @ h)
+        for op, rate in jumps:
+            ldl = op.conj().T @ op
+            image = image + rate * (op @ fi @ op.conj().T - 0.5 * (ldl @ fi + fi @ ldl))
+        proj = np.array([np.trace(fj @ image) for fj in basis]) / dim
+        assert np.abs(proj.imag).max() <= 1e-12
+        entries[:, i] = proj.real
+    entries[0, :] = 0.0
+    return entries
+
+
+def _labels(q):
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=q)]
+
+
+def _random_jump(seed, q):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (2**q, 2**q)) + 1j * rng.uniform(-1, 1, (2**q, 2**q))
+
+
+@st.composite
+def _gkls_terms(draw):
+    q = draw(st.sampled_from([1, 2]))
+    coeff = st.floats(-2.0, 2.0, allow_nan=False)
+    rate = st.floats(0.0, 1.0, allow_nan=False)
+    hamiltonian = draw(st.lists(st.tuples(st.sampled_from(_labels(q)), coeff), max_size=5))
+    jump = st.one_of(st.sampled_from(_labels(q)),
+                     st.builds(_random_jump, st.integers(0, 2**32 - 1), st.just(q)))
+    dissipators = draw(st.lists(st.tuples(jump, rate), max_size=4))
+    return hamiltonian, dissipators, q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(terms=_gkls_terms())
+@example(terms=([("XI", 0.3), ("ZI", 0.002), ("ZX", 0.0027)],
+                [(np.kron(L_AD, np.eye(2)), 3.6e-5), ("ZI", 1.9e-4), (np.kron(np.eye(2), L_AD), 0.01)], 2))
+@example(terms=([], [(1e4 * _random_jump(0, 2), 1e-14)], 2))
+def test_build_generator_matches_trace_projection(terms):
+    gen = build_generator(*terms)
+    ref = _reference_generator(*terms)
+    assert gen.dtype == np.float64 and gen.flags.writeable
+    assert np.max(np.abs(gen - ref)) <= 1e-14
+    assert np.all(gen[0] == 0.0)
+
+
+def test_cold_and_warm_cache_give_identical_generators():
+    specs = [
+        ([("X", 0.4), ("Z", -0.01)], [(L_AD, 2e-3), ("Z", 1e-3)], 1),
+        ([("XI", -0.4), ("ZI", 0.002), ("ZX", 0.0027)],
+         [(np.kron(L_AD, np.eye(2)), 3.6e-5), ("ZI", 1.9e-4), (np.kron(np.eye(2), L_AD), 0.02)], 2),
+        ([("YZ", 0.7)], [(_random_jump(1, 2), 0.3), ("XY", 0.1)], 2),
+        ([], [(_random_jump(2, 1), 0.25)], 1),
+    ]
+    pauli._projection.cache_clear()
+    cold = [build_generator(*spec) for spec in specs]
+    warm = [build_generator(*spec) for spec in specs]
+    pauli._projection.cache_clear()
+    reverse = [build_generator(*spec) for spec in reversed(specs)][::-1]
+    for a, b, c in zip(cold, warm, reverse):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    # a caller may scribble on its generator; the cached terms are read-only
+    assert not pauli._projection(1, "D", L_AD.astype(complex).tobytes()).flags.writeable
+    cold[0][:] = 1.0
+    assert build_generator(*specs[0]).tobytes() == warm[0].tobytes()
+    info = pauli._projection.cache_info()
+    assert info.maxsize == 64 and info.currsize == 14
 
 
 # ---------------------------------------------------------------------------

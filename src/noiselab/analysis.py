@@ -15,6 +15,11 @@ Three detectors run on a single-theta record set:
    z = 3 is a nominal one-sided tail of 1.35e-3 per record set.  That null
    has not been checked against a measured null tail: memoryless records
    can exceed 3 (theta_full = 2 pi echo records reached 3.46).
+   On a uniform grid the fit starts from the matrix-pencil poles of 2p - 1,
+   which for this model is a sum of damped exponentials; a non-uniform or
+   very short grid starts from a 15-point grid around the periodogram peak.
+   One closed-form Jacobian serves the trust-region steps, the f_p = 0 null
+   fit and sigma(f_p).
 
 2. Dominant-frequency count of z_n = <sx> + i <sy>.  Markovian evolution
    contributes a single damped phasor (a +/- theta pair under drive, which
@@ -54,7 +59,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import erfcinv
 
-from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
+from .optim import covariance_from_jacobian, minimize_multistart
 from .schedule import _half_length
 from .synth import ExperimentRecord
 
@@ -97,6 +102,11 @@ def purity_series(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, np.n
     """Per-n purity estimate (1 + cx^2 + cy^2 + cz^2)/2 from all three bases."""
     ns, bloch = bloch_series(records)
     return ns, 0.5 * (1.0 + np.sum(bloch * bloch, axis=1))
+
+
+def uniform_grid(ns: np.ndarray) -> bool:
+    """Whether the sorted n grid has one step throughout (at least 2 points)."""
+    return ns.shape[0] > 1 and np.ptp(np.diff(ns)) == 0
 
 
 def shot_noise_rmse(shots: int) -> float:
@@ -158,6 +168,7 @@ class PurityFit:
     loss: float
     n_points: int
     degenerate: bool
+    nfev: int  # residual evaluations of the main and null fits
 
 
 def _purity_model(ns: np.ndarray, period: float, f: float, g: float) -> np.ndarray:
@@ -188,47 +199,83 @@ def _scan_z(q: float, n_freqs: int) -> float:
     return float(max(0.0, math.sqrt(2.0) * erfcinv(2.0 * p)))
 
 
+def _purity_jacobian(ns: np.ndarray, period: float, f: float, g: float) -> np.ndarray:
+    """d r / d (f, gamma) of the residual r = p - _purity_model, in closed form:
+    dr/df = 2 pi t cos(phi) sin(phi) e^{-gamma t} and
+    dr/dgamma = t cos^2(phi) e^{-gamma t} / 2, with phi = 2 pi f t."""
+    t = ns * period
+    phi = 2.0 * math.pi * f * t
+    c, s, env = np.cos(phi), np.sin(phi), np.exp(-g * t)
+    return np.column_stack([2.0 * math.pi * t * c * s * env, 0.5 * t * c * c * env])
+
+
 def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
-    """Least-squares fit of the purity oscillation model on the raw n grid."""
+    """Least-squares fit of the purity oscillation model on the raw n grid.
+
+    On a uniform grid of at least 7 points the starts come from the series'
+    own poles.  2p - 1 = e^{-gamma t} (1 + cos 4 pi f t) / 2 is a sum of three
+    damped exponentials, a real pole and a pair at angles +/-4 pi f dt,
+    dt = 2 m dn; amplitude damping adds a slow fourth, as the purity relaxes
+    back towards the pure ground state.  So the matrix pencil of 2p - 1
+    (`_pencil_poles`, order 4) is read pole by pole: each z with Im z > 0
+    gives the start f = arg z / (4 pi dt), gamma = max(-ln|z| / dt, 0), and a
+    negative real z, a pair near the Nyquist angle split by noise, gives
+    f = f_max.  (0, 1/span) and (0, 0) are added.  A non-uniform grid has no
+    pencil and fewer than 7 points cannot hold three poles, so there the
+    fit starts from a 15-point grid around the periodogram peak of 2p - 1.
+    The trust-region steps, the f = 0 null fit (its gamma column) and sigma_f
+    all use one closed-form Jacobian, `_purity_jacobian`.
+    """
     m = _half_length(m)
     ns, p_obs = purity_series(records)
-    if ns.shape[0] < 3:
+    n_points = ns.shape[0]
+    if n_points < 3:
         raise ValueError("need at least 3 n values to fit the purity model")
     period = 2.0 * m
-    dn = np.diff(ns).min() if ns.shape[0] > 1 else 1
+    dn = np.diff(ns).min()
     f_max = 1.0 / (4.0 * period * dn)  # cos^2 doubles the frequency
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return p_obs - _purity_model(ns, period, x[0], x[1])
 
-    # seed f from the dominant discrete frequency of 2p-1
+    def jac(x: np.ndarray) -> np.ndarray:
+        return _purity_jacobian(ns, period, x[0], x[1])
+
     w = 2.0 * p_obs - 1.0
-    spec = np.abs(np.fft.rfft(w - w.mean()))
-    k = int(np.argmax(spec[1:]) + 1) if spec.shape[0] > 1 else 0
     span = (ns[-1] - ns[0]) * period
-    f_seed = 0.5 * k / max(span, 1e-12)  # cos^2 oscillates at 2 f_p
     g_seed = 1.0 / max(span, 1e-12)
-    starts = [
-        np.array([f, g])
-        for f in (f_seed, 0.5 * f_seed, 2.0 * f_seed, 0.25 * f_max, 0.0)
-        for g in (0.0, g_seed, 5.0 * g_seed)
-    ]
+    if uniform_grid(ns) and n_points >= 7:
+        dt = period * dn
+        poles = _pencil_poles(w, 0.0, 4)
+        poles = poles[(poles.imag > 0.0) | (poles.real < 0.0)]
+        starts = [
+            np.array([abs(np.angle(z)) / (4.0 * math.pi * dt), max(-math.log(abs(z)) / dt, 0.0)])
+            for z in poles
+        ]
+        starts += [np.array([0.0, g_seed]), np.array([0.0, 0.0])]
+    else:
+        # seed f from the dominant discrete frequency of 2p-1
+        spec = np.abs(np.fft.rfft(w - w.mean()))
+        k = int(np.argmax(spec[1:]) + 1)
+        f_seed = 0.5 * k / max(span, 1e-12)  # cos^2 oscillates at 2 f_p
+        starts = [
+            np.array([f, g])
+            for f in (f_seed, 0.5 * f_seed, 2.0 * f_seed, 0.25 * f_max, 0.0)
+            for g in (0.0, g_seed, 5.0 * g_seed)
+        ]
     scale = np.array([max(f_max / 4.0, 1e-6), max(g_seed, 1e-6)])
     best = minimize_multistart(
-        residuals, starts, np.array([0.0, 0.0]), np.array([f_max, np.inf]), scale, maxfev=800
+        residuals, starts, np.array([0.0, 0.0]), np.array([f_max, np.inf]), scale, maxfev=800, jac=jac
     )
 
     # profile z-score: refit with f pinned at 0 (pure decay), compare losses
     g_starts = [np.array([g]) for g in (0.0, g_seed, 5.0 * g_seed, best.x[1])]
     null = minimize_multistart(
         lambda x: residuals(np.array([0.0, x[0]])), g_starts, np.array([0.0]), np.array([np.inf]),
-        np.array([max(g_seed, 1e-6)]), maxfev=400,
+        np.array([max(g_seed, 1e-6)]), maxfev=400, jac=lambda x: jac(np.array([0.0, x[0]]))[:, 1:],
     )
 
-    n_points = ns.shape[0]
-    cov, sigma, degenerate = covariance_from_jacobian(
-        central_jacobian(residuals, best.x), best.fun, n_points
-    )
+    cov, sigma, degenerate = covariance_from_jacobian(jac(best.x), best.fun, n_points)
     s2 = max(best.fun / max(n_points - 2, 1), 1e-24)
     q = max(null.fun - best.fun, 0.0) / s2
     significance = _scan_z(q, max((n_points - 1) // 2, 1))
@@ -241,6 +288,7 @@ def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
         loss=float(best.fun),
         n_points=n_points,
         degenerate=degenerate,
+        nfev=best.nfev + null.nfev,
     )
 
 
@@ -432,7 +480,7 @@ def detect_nonmarkovianity(
     span = int(ns[-1] - ns[0]) + 1 if ns.shape[0] > 1 else ns.shape[0]
     shots = records_shots(records)
     noise = shot_noise_rmse(shots)
-    if span < 8 or ns.shape[0] < 4 or np.ptp(np.diff(ns)) != 0:
+    if span < 8 or ns.shape[0] < 4 or not uniform_grid(ns):
         return NonMarkovianityReport(
             verdict="inconclusive", purity=None, frequency_count=0, frequencies=(),
             form_residual=float("nan"), shot_rmse=noise, n_points=ns.shape[0],

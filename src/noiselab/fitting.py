@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import extract_phasors, peak_threshold, records_shots
+from .analysis import extract_phasors, peak_threshold, records_shots, uniform_grid
 from .models import MODEL_TAGS, NoiseParams, PMMEParams, UnsupportedModelError, params_to_dict
 from .models import _check_finite, _check_rate
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
@@ -291,10 +291,9 @@ def _phasor_seeds(block: _ThetaBlock, m: int) -> dict[str, float]:
     out: dict[str, float] = {}
     if "X" not in block.bases or "Y" not in block.bases or block.ns.shape[0] < 4:
         return out
-    steps = np.diff(block.ns)
-    if not np.all(steps == steps[0]):
+    if not uniform_grid(block.ns):
         return out
-    per_sample = 2.0 * m * float(steps[0])  # gate units per sample
+    per_sample = 2.0 * m * float(block.ns[1] - block.ns[0])  # gate units per sample
     z = block.data[:, block.bases.index("X")] + 1j * block.data[:, block.bases.index("Y")]
     n = z.shape[0]
     comps, _ = extract_phasors(z, peak_threshold(block.shots, n), max_components=3)

@@ -6,8 +6,9 @@ is everywhere the same: from each of several starts, minimise the sum of
 squared residuals with the bounded trust-region reflective method of Branch,
 Coleman & Li (1999) (`scipy.optimize.least_squares`, method "trf") under the
 caller's box bounds and per-parameter scales, and keep the best start.
-Uncertainties come from a central finite-difference Jacobian of the residual
-vector at the optimum,
+A caller with a closed-form Jacobian passes it; otherwise the steps use
+scipy's forward differences.  Uncertainties come from the Jacobian of the
+residual vector at the optimum (the closed form, or `central_jacobian`),
 
     C = (J^T J)^{-1} * L_min / (N - p) ,
 
@@ -28,7 +29,9 @@ class MultistartResult:
     x: np.ndarray
     fun: float  # sum of squared residuals at x
     success: bool  # whether the winning start met a convergence tolerance
-    nfev: int  # residual evaluations over all starts, Jacobian probes included
+    # residual evaluations over all starts; finite-difference Jacobian probes
+    # count too when no jac is given
+    nfev: int
 
 
 def minimize_multistart(
@@ -38,14 +41,18 @@ def minimize_multistart(
     upper: np.ndarray,
     scale: np.ndarray | None = None,
     maxfev: int = 1600,
+    jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MultistartResult:
     """Bounded trust-region least squares from each start; keep the best.
 
     residuals maps a parameter vector to a 1-d residual vector.  Starts are
     clipped into [lower, upper]; a start whose residuals are not all finite
     there is skipped, and ValueError is raised if no start is left.  scale
-    holds per-parameter magnitudes (the trust region's x_scale).  maxfev caps
-    the residual evaluations of each start, not counting Jacobian probes.
+    holds per-parameter magnitudes (the trust region's x_scale).  jac maps a
+    parameter vector to the residual Jacobian d r / d x and is handed to
+    `least_squares` as is; None keeps its forward differences ("2-point"),
+    whose probes count in nfev.  maxfev caps the residual evaluations of
+    each start, not counting Jacobian probes.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -69,7 +76,8 @@ def minimize_multistart(
             if not np.all(np.isfinite(counted(x0))):
                 continue
             res = least_squares(
-                counted, x0, bounds=(lower, upper), x_scale=scale, method="trf", max_nfev=maxfev
+                counted, x0, jac="2-point" if jac is None else jac, bounds=(lower, upper),
+                x_scale=scale, method="trf", max_nfev=maxfev,
             )
             if best is None or res.cost < best.cost:
                 best = res

@@ -154,7 +154,12 @@ def density_matrix(state: PauliVector) -> np.ndarray:
 
 
 def from_density_matrix(rho: np.ndarray) -> PauliVector:
-    """Project a density matrix onto the Pauli coefficient vector."""
+    """Project a density matrix onto the Pauli coefficient vector.
+
+    rho must be Hermitian: ||rho - rho^+|| above 1e-9 max(1, ||rho||)
+    (Frobenius norms) is rejected, since the projection keeps only the real
+    part of each Tr[F_i rho] and would drop the rest silently.  Unit trace
+    and finite entries are checked by `PauliVector`."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape == (2, 2):
         q = 1
@@ -162,6 +167,8 @@ def from_density_matrix(rho: np.ndarray) -> PauliVector:
         q = 2
     else:
         raise ValueError(f"density matrix must be 2x2 or 4x4, got {rho.shape}")
+    if np.linalg.norm(rho - rho.conj().T) > 1e-9 * max(1.0, np.linalg.norm(rho)):
+        raise ValueError("density matrix is not Hermitian")
     coeffs = np.array([np.trace(f @ rho).real for f in pauli_basis(q)])
     return PauliVector(coeffs)
 

@@ -324,8 +324,10 @@ class TestAnalyze:
         assert len(verdicts) == 1
         assert verdicts[0]["verdict"] == "non_markovian"
         assert verdicts[0]["criteria"] == ["purity_z"]
+        assert "nfev" not in verdicts[0]["purity"]
         purity = (tmp_path / "an.purity.csv").read_text().splitlines()
         assert len(purity) == 2  # header + one group
+        assert "nfev" not in purity[0]
         spline = (tmp_path / "an.spline.csv").read_text().splitlines()
         assert len(spline) == 1 + 3 * 201
         obs = (tmp_path / "an.observables.csv").read_text().splitlines()

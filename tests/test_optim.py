@@ -76,6 +76,30 @@ def test_result_within_bounds_and_fun_is_sum_of_squares():
     assert res.x == pytest.approx([1.0, -1.0], abs=1e-6)
 
 
+def test_exact_jacobian_reaches_the_finite_difference_minimum_in_fewer_evaluations():
+    # a decay a e^{-b t} + c fitted to a perturbed one, with b capped below its
+    # unconstrained optimum so the minimum sits on a bound
+    t = np.linspace(0.0, 4.0, 25)
+    y = 1.5 * np.exp(-1.3 * t) + 0.2 + 0.01 * np.sin(7.0 * t)
+    lower, upper = np.array([0.0, 0.0, -1.0]), np.array([5.0, 1.2, 1.0])
+
+    def resid(x):
+        return y - x[0] * np.exp(-x[1] * t) - x[2]
+
+    def jac(x):
+        e = np.exp(-x[1] * t)
+        return np.column_stack([-e, x[0] * t * e, -np.ones_like(t)])
+
+    starts = [np.array([1.0, 0.5, 0.0]), np.array([3.0, 1.0, 0.5])]
+    fd = minimize_multistart(resid, starts, lower, upper)
+    exact = minimize_multistart(resid, starts, lower, upper, jac=jac)
+    assert exact.x[1] == pytest.approx(upper[1], abs=1e-12)
+    assert exact.x == pytest.approx(fd.x, abs=1e-10)
+    assert exact.fun == pytest.approx(fd.fun, abs=1e-10)
+    assert exact.success and fd.success
+    assert exact.nfev < fd.nfev
+
+
 def test_bad_scale_rejected():
     with pytest.raises(ValueError, match="scales"):
         minimize_multistart(_two_minima, [np.array([0.0])], LOWER, UPPER, scale=np.array([0.0]))

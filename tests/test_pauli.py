@@ -81,6 +81,25 @@ def test_density_matrix_roundtrip():
     assert np.allclose(back.coeffs, state.coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [
+        np.array([[1.0, 5.0], [0.0, 0.0]]),  # would read as a Bloch vector of length 5
+        np.eye(2) / 2 + 1j * np.eye(2),  # anti-Hermitian part, dropped by .real
+        np.kron(np.eye(2) / 2, np.array([[1.0, 1e-6], [0.0, 0.0]])),
+    ],
+)
+def test_non_hermitian_density_matrix_rejected(rho):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        from_density_matrix(rho)
+
+
+def test_hermitian_roundoff_accepted():
+    rho = density_matrix(PauliVector(np.array([1.0, 0.3, -0.2, 0.4])))
+    rho[0, 1] += 1e-12j
+    assert np.allclose(from_density_matrix(rho).coeffs, [1.0, 0.3, -0.2, 0.4], atol=1e-11)
+
+
 def test_build_generator_validation():
     with pytest.raises(ValueError):
         build_generator([], [(L_AD, -0.1)], 1)

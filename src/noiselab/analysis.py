@@ -38,9 +38,10 @@ Three detectors run on a single-theta record set:
    step (variable projection, Golub & Pereyra 1973).  A fit residual far
    above shot noise plus a multi-peak spectrum flags memory.
 
-A record set's shot count is the median over its records with shots > 0
-(`records_shots`), and a periodogram peak counts above `peak_threshold`;
-`fitting` uses the same two rules.
+Every detector, the spline and `fitting` read a record set through one
+parser, `record_table`.  A record set's shot count is the median over its
+records with shots > 0 (`records_shots`), and a periodogram peak counts
+above `peak_threshold`; `fitting` uses the same two rules.
 
 Campaign statistics aggregate per-day ratio estimates r_i +/- s_i with
 inverse-variance weights and split the spread into the fit-error part
@@ -71,16 +72,17 @@ _PEAK_SIGMAS = 5.0
 # ---------------------------------------------------------------------------
 # record wrangling
 
-def _single_theta(records: Sequence[ExperimentRecord]) -> float:
+def record_table(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """(ns, bases, values): the one parser from a single-theta record set to
+    arrays.
+
+    ns is the sorted n grid, bases the bases present in X, Y, Z order, and
+    values[i, j] the expectation value at ns[i] in bases[j].  Mixed theta, a
+    duplicate (n, basis), or an n lacking a basis that another n has raises.
+    """
     thetas = {r.theta_full for r in records}
     if len(thetas) != 1:
         raise ValueError(f"expected records for a single theta_full, got {sorted(thetas)}")
-    return thetas.pop()
-
-
-def bloch_series(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, values[len(ns), 3]) requiring X, Y, Z at every n, no duplicates."""
-    _single_theta(records)
     table: dict[int, dict[str, float]] = {}
     for r in records:
         slot = table.setdefault(r.n, {})
@@ -88,14 +90,24 @@ def bloch_series(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, np.nd
             raise ValueError(f"duplicate record for n={r.n} basis={r.basis}")
         slot[r.basis] = r.expval
     ns = np.array(sorted(table), dtype=int)
-    out = np.empty((ns.shape[0], 3))
+    bases = tuple(b for b in "XYZ" if any(b in slot for slot in table.values()))
+    values = np.empty((ns.shape[0], len(bases)))
     for i, n in enumerate(ns):
         slot = table[int(n)]
-        missing = {"X", "Y", "Z"} - set(slot)
+        missing = [b for b in bases if b not in slot]
         if missing:
-            raise ValueError(f"n={n} is missing bases {sorted(missing)}")
-        out[i] = (slot["X"], slot["Y"], slot["Z"])
-    return ns, out
+            raise ValueError(f"n={n} is missing bases {missing}")
+        values[i] = [slot[b] for b in bases]
+    return ns, bases, values
+
+
+def bloch_series(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, values[len(ns), 3]): the record table, which must hold X, Y and Z."""
+    ns, bases, values = record_table(records)
+    missing = [b for b in "XYZ" if b not in bases]
+    if missing:
+        raise ValueError(f"records are missing bases {missing}")
+    return ns, values
 
 
 def purity_series(records: Sequence[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -138,17 +150,12 @@ def peak_threshold(shots: int, n_samples: int) -> float:
 
 def interpolate_spline(records: Sequence[ExperimentRecord]) -> Callable[[np.ndarray], np.ndarray]:
     """Natural cubic spline through one basis' expectation values vs n."""
-    _single_theta(records)
-    bases = {r.basis for r in records}
+    ns, bases, values = record_table(records)
     if len(bases) != 1:
-        raise ValueError(f"expected records for a single basis, got {sorted(bases)}")
-    pairs = sorted((r.n, r.expval) for r in records)
-    ns = [p[0] for p in pairs]
-    if len(ns) != len(set(ns)):
-        raise ValueError("duplicate n values")
-    if len(ns) < 4:
-        raise ValueError(f"need at least 4 points for a cubic spline, got {len(ns)}")
-    return CubicSpline(ns, [p[1] for p in pairs], bc_type="natural")
+        raise ValueError(f"expected records for a single basis, got {list(bases)}")
+    if ns.shape[0] < 4:
+        raise ValueError(f"need at least 4 points for a cubic spline, got {ns.shape[0]}")
+    return CubicSpline(ns, values[:, 0], bc_type="natural")
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +453,6 @@ def fit_single_frequency(values: np.ndarray, seeds: Sequence[Phasor] = ()) -> tu
 
 # ---------------------------------------------------------------------------
 # verdict
-
-VERDICTS = ("markovian_consistent", "non_markovian", "inconclusive")
-
 
 @dataclass(frozen=True)
 class NonMarkovianityReport:

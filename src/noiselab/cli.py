@@ -31,8 +31,9 @@ from .analysis import (
     fit_purity,
     interpolate_spline,
 )
-from .fitting import FitConfig, PARAM_NAMES, fit_model, fit_to_dict, parameter_ratios
+from .fitting import FitConfig, fit_model, fit_to_dict, parameter_ratios
 from .models import (
+    PARAM_NAMES,
     QubitTLSParams,
     UnsupportedModelError,
     effective_dephasing,
@@ -452,10 +453,7 @@ def cmd_analyze(args) -> int:
                 continue
             dense = np.linspace(ns[0], ns[-1], 201)
             for basis in ("X", "Y", "Z"):
-                sub = [r for r in recs if r.basis == basis]
-                if len(sub) < 4:
-                    continue
-                curve = interpolate_spline(sub)(dense)
+                curve = interpolate_spline([r for r in recs if r.basis == basis])(dense)
                 for n, v in zip(dense, curve):
                     writer.writerow([batch_id, repr(float(theta)), basis, repr(float(n)), repr(float(v))])
     outputs["spline"] = spline_path

@@ -30,23 +30,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import extract_phasors, peak_threshold, records_shots, uniform_grid
-from .models import MODEL_TAGS, NoiseParams, PMMEParams, UnsupportedModelError, params_to_dict
-from .models import _check_finite, _check_rate
+from .analysis import extract_phasors, peak_threshold, record_table, records_shots, uniform_grid
+from .models import MODEL_TAGS, PARAM_NAMES, RATES, NoiseParams, PMMEParams, UnsupportedModelError
+from .models import _check_finite, _check_rate, params_to_dict
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
 from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_trajectory
 # unused here; perfbench's tracer test reads fitting.schedule_superoperator (ROADMAP item 1)
 from .schedule import schedule_superoperator
-from .synth import ExperimentRecord
-
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "markovian": ("delta_omega", "gamma_ad", "gamma_d"),
-    "qubit_tls": ("delta_omega", "gamma_ad", "gamma_d", "nu_zx", "kappa"),
-    "pmme": ("delta_omega", "gamma_ad", "gamma_d", "gamma_z", "b"),
-}
-
-# lower bounds; everything else is unbounded
-_NONNEGATIVE = ("gamma_ad", "gamma_d", "nu_zx", "kappa", "gamma_z")
+from .synth import ExperimentRecord, records_by_theta
 
 # per-parameter magnitude floors for optimizer scaling
 _SCALE_FLOOR = {
@@ -158,29 +149,21 @@ class _ThetaBlock:
 
 
 def _build_blocks(records: Sequence[ExperimentRecord], m: int) -> list[_ThetaBlock]:
+    """One block per theta_full, ascending: its analysis.record_table and the
+    shot count of its records.  A table error names its theta."""
     if not records:
         raise ValueError("no records to fit")
-    groups: dict[float, dict[int, dict[str, float]]] = {}
-    for r in records:
-        slot = groups.setdefault(r.theta_full, {}).setdefault(r.n, {})
-        if r.basis in slot:
-            raise ValueError(f"duplicate record theta={r.theta_full} n={r.n} basis={r.basis}")
-        slot[r.basis] = r.expval
     blocks = []
-    for theta in sorted(groups):
-        table = groups[theta]
-        ns = np.array(sorted(table), dtype=int)
-        bases = tuple(sorted(table[int(ns[0])], key="XYZ".index))
-        for n in ns:
-            if tuple(sorted(table[int(n)], key="XYZ".index)) != bases:
-                raise ValueError(f"inconsistent basis coverage at theta={theta}, n={n}")
-        data = np.array([[table[int(n)][b] for b in bases] for n in ns])
+    for theta, recs in records_by_theta(records).items():
+        try:
+            ns, bases, data = record_table(recs)
+        except ValueError as exc:
+            raise ValueError(f"theta={theta}: {exc}") from exc
         sched = PseudoidentitySchedule(theta_full=theta, n_values=tuple(int(v) for v in ns), m=m, bases=bases)
         blocks.append(
             _ThetaBlock(
                 theta=theta, ns=ns, bases=bases, cols=["XYZ".index(b) for b in bases],
-                data=data, schedule=sched,
-                shots=records_shots([r for r in records if r.theta_full == theta]),
+                data=data, schedule=sched, shots=records_shots(recs),
             )
         )
     return blocks
@@ -222,7 +205,7 @@ class _Layout:
 
     def bounds_and_scale(self, seeds: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         base = [n if "@" not in n else n.split("@")[0] for n in self.names]
-        lower = np.array([0.0 if n in _NONNEGATIVE else -np.inf for n in base])
+        lower = np.array([0.0 if n in RATES else -np.inf for n in base])
         upper = np.full(len(base), np.inf)
         scale = np.array([max(abs(seeds.get(n, 0.0)), _SCALE_FLOOR[n]) for n in base])
         return lower, upper, scale
@@ -248,7 +231,7 @@ class _Layout:
             if self.tie_b:
                 kwargs["b"] = -2.0 * kwargs["gamma_z"]
             # finite-difference probes may push a rate epsilon below zero
-            for name in _NONNEGATIVE:
+            for name in RATES:
                 if name in kwargs:
                     kwargs[name] = max(0.0, kwargs[name])
             out[theta] = cls(**kwargs)
@@ -262,7 +245,7 @@ def _make_layout(model: str, thetas: Sequence[float], config: FitConfig) -> _Lay
     for key, value in frozen_src.items():
         if key not in names:
             raise ValueError(f"cannot freeze {key!r}: not a {model} parameter")
-        frozen[key] = (_check_rate if key in _NONNEGATIVE else _check_finite)(f"frozen {key}", value)
+        frozen[key] = (_check_rate if key in RATES else _check_finite)(f"frozen {key}", value)
     tie_b = bool(config.tie_b)
     if tie_b and model != "pmme":
         raise ValueError("tie_b only applies to pmme fits")
@@ -327,23 +310,18 @@ def _ad_seed(block: _ThetaBlock) -> float:
 
 
 def _base_seeds(model: str, blocks: list[_ThetaBlock], config: FitConfig) -> dict[str, float]:
+    """Start-0 values in PARAM_NAMES[model] order (_jitter draws in that order)."""
     seeds = {name: 0.0 for name in PARAM_NAMES[model]}
-    seeds.update({"gamma_ad": 1e-6, "gamma_d": 1e-5})
-    if model == "qubit_tls":
-        seeds["nu_zx"] = 1e-3
-    if model == "pmme":
-        seeds["gamma_z"] = 1e-6
+    seeds.update({"gamma_ad": 1e-6, "gamma_d": 1e-5, "nu_zx": 1e-3})
     idle = [b for b in blocks if b.theta == 0.0]
     src = idle[0] if idle else blocks[0]
     seeds.update(_phasor_seeds(src, config.m))
     seeds["gamma_ad"] = _ad_seed(src)
     if model == "pmme":
-        nu = seeds.pop("nu_zx", 1e-3)
+        nu = seeds["nu_zx"]
         seeds["gamma_z"] = max(2.0 * nu * nu, 1e-8)
         seeds["b"] = -2.0 * seeds["gamma_z"]
-    if model == "markovian":
-        seeds.pop("nu_zx", None)
-    return {k: v for k, v in seeds.items() if k in PARAM_NAMES[model]}
+    return {name: seeds[name] for name in PARAM_NAMES[model]}
 
 
 def _jitter(seeds: dict[str, float], rng: np.random.Generator) -> dict[str, float]:

@@ -89,9 +89,6 @@ class QubitTLSParams:
         object.__setattr__(self, "nu_zx", _check_rate("nu_zx", self.nu_zx))
         object.__setattr__(self, "kappa", _check_rate("kappa", self.kappa))
 
-    def markovian(self) -> MarkovianParams:
-        return MarkovianParams(self.delta_omega, self.gamma_ad, self.gamma_d)
-
 
 @dataclass(frozen=True)
 class PMMEParams:
@@ -126,6 +123,14 @@ MODEL_TAGS: dict[str, type] = {
     "pmme": PMMEParams,
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in MODEL_TAGS.items()}
+
+# Each model's parameters in dataclass field order, which is the order of a
+# fit's parameter vector and of its start jitter draws.
+PARAM_NAMES: dict[str, tuple[str, ...]] = {
+    tag: tuple(f.name for f in fields(cls)) for tag, cls in MODEL_TAGS.items()
+}
+# the non-negative parameters; every other one is any finite number
+RATES = ("gamma_ad", "gamma_d", "nu_zx", "kappa", "gamma_z")
 
 
 def model_tag(params: NoiseParams) -> str:
@@ -273,12 +278,8 @@ def pmme_idle_bloch(params: PMMEParams, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # memory-kernel numerical oracle
 
-def pmme_numeric_oracle(
-    params: PMMEParams,
-    t_grid: Sequence[float],
-    state0: PauliVector | None = None,
-) -> list[PauliVector]:
-    """Direct integration of the memory-kernel equation on a uniform grid.
+def pmme_numeric_oracle(params: PMMEParams, t_grid: Sequence[float]) -> list[PauliVector]:
+    """Direct integration of the memory-kernel equation from |+> on a uniform grid.
 
     The convolution int_0^t dt' e^{-b t'} e^{(L0+L1) t'} rho(t - t') is
     discretised with the trapezoid rule; the kernel matrix at node l is M^l
@@ -309,10 +310,8 @@ def pmme_numeric_oracle(
     l1 = build_generator([], [("Z", params.gamma_z)], 1)
     kernel_step = expm((l0 + l1 - params.b * np.eye(4)) * h)
 
-    if state0 is None:
-        state0 = PauliVector.plus()
     c = np.empty((n_fine, 4))
-    c[0] = state0.coeffs
+    c[0] = PauliVector.plus().coeffs
 
     def memory(j: int, cj: np.ndarray, s_sum: np.ndarray, u: np.ndarray) -> np.ndarray:
         # trapezoid of sum_l K_l c_{j-l}: 1/2 c_j + interior + 1/2 K_j c_0

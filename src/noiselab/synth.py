@@ -342,7 +342,10 @@ def read_records_csv(path) -> list[ExperimentRecord]:
 
 
 def _record(batch_id, timestamp, theta_full, n, basis, shots, expval) -> ExperimentRecord:
-    """Validated record; a non-integral count or a non-numeric value raises."""
+    """Validated record; a non-string batch id, a non-integral count or a
+    non-numeric value raises."""
+    if not isinstance(batch_id, str):
+        raise ValueError(f"batch_id must be a string, got {batch_id!r}")
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"bad basis {basis!r}")
     rec = ExperimentRecord(

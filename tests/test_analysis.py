@@ -25,6 +25,7 @@ from noiselab.analysis import (
     interpolate_spline,
     peak_threshold,
     purity_series,
+    record_table,
     records_shots,
     shot_noise_rmse,
     uniform_grid,
@@ -75,6 +76,25 @@ class TestSeries:
         recs = [_record(0, "X", 0.1), _record(0, "Y", 0.1, theta=1.0)]
         with pytest.raises(ValueError, match="single theta"):
             bloch_series(recs)
+
+    def test_record_table_keeps_a_consistent_partial_set(self):
+        recs = [_record(10, "Z", 0.3), _record(0, "X", 1.0), _record(10, "X", 0.5), _record(0, "Z", 0.0)]
+        ns, bases, values = record_table(recs)
+        assert ns.tolist() == [0, 10]
+        assert bases == ("X", "Z")
+        assert values.tolist() == [[1.0, 0.0], [0.5, 0.3]]
+        with pytest.raises(ValueError, match=r"missing bases \['Y'\]"):
+            bloch_series(recs)
+
+    def test_record_table_rejects_uneven_coverage(self):
+        recs = [_record(0, "X", 0.1), _record(0, "Z", 0.2), _record(10, "X", 0.3)]
+        with pytest.raises(ValueError, match=r"n=10 is missing bases \['Z'\]"):
+            record_table(recs)
+
+    def test_record_table_rejects_mixed_theta(self):
+        recs = [_record(0, "X", 0.1), _record(0, "X", 0.1, theta=1.0)]
+        with pytest.raises(ValueError, match="single theta"):
+            record_table(recs)
 
     def test_purity_from_bloch_components(self):
         recs = [_record(0, "X", 0.6), _record(0, "Y", 0.0), _record(0, "Z", 0.8)]

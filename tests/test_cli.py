@@ -408,6 +408,15 @@ class TestAnalyze:
         assert ("missing bases ['Z']" if fault == "missing_basis" else "duplicate record") in err
         assert not list(tmp_path.glob("an.*"))
 
+    def test_non_string_batch_id_is_config_error_before_any_output(self, tmp_path, capsys):
+        record = {"timestamp": 0, "theta_full": 0.0, "n": 0, "basis": "X", "shots": 16, "expval": 0.5}
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps({"batch_id": b, **record}) + "\n" for b in ("a", 5)))
+        rc = main(["analyze", "--data", str(path), "--out", str(tmp_path / "an")])
+        assert rc == 2
+        assert "batch_id must be a string, got 5" in capsys.readouterr().err
+        assert not list(tmp_path.glob("an.*"))
+
     @pytest.mark.parametrize(
         "bad",
         [None, {"sigma": -0.5}, {"sigma": "0.1"}, {"value": True}, {"theta_full": None}, "no_sigma"],

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noiselab.analysis import detect_nonmarkovianity
+from noiselab.analysis import detect_nonmarkovianity, record_table
 from noiselab.fitting import (
     FitConfig,
     FitResult,
@@ -78,6 +78,20 @@ class TestLoss:
         recs = [r for r in generate_batch(MARKOV, IDLE, 0, 0) if not (r.n == 50 and r.basis == "Y")]
         with pytest.raises(ValueError):
             loss(MARKOV, recs)
+
+    def test_uneven_basis_coverage_names_theta(self):
+        recs = [r for r in generate_batch(MARKOV, SHORT_DRIVEN, 0, 0)
+                if not (r.theta_full != 0.0 and r.n == 50 and r.basis == "Y")]
+        with pytest.raises(ValueError, match=r"theta=1\.2566.*n=50 is missing bases \['Y'\]"):
+            fit_model("markovian", recs, FitConfig(starts=2))
+
+    def test_consistent_partial_basis_set_fits(self):
+        recs = [r for r in generate_batch(MARKOV, IDLE, 0, 0) if r.basis != "Y"]
+        ns, bases, _ = record_table(recs)
+        assert bases == ("X", "Z") and ns.tolist() == list(IDLE.n_values)
+        fit = fit_model("markovian", recs, FitConfig(starts=4))
+        assert fit.n_points == 2 * len(IDLE.n_values)
+        assert fit.loss < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noiselab.models import (
+    MODEL_TAGS,
+    PARAM_NAMES,
+    RATES,
     MarkovianParams,
     PMMEParams,
     QubitTLSParams,
@@ -56,6 +59,18 @@ def test_rate_validation():
         PMMEParams(delta_omega=0.0, gamma_ad=0.0, gamma_d=0.0, gamma_z=-1e-12, b=0.0)
     # b may be negative (it often is)
     PMMEParams(delta_omega=0.0, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.01, b=-0.02)
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_TAGS))
+def test_exactly_the_rates_reject_negative_values(model):
+    cls = MODEL_TAGS[model]
+    assert PARAM_NAMES[model] == tuple(params_to_dict(cls()))[1:]
+    for name in PARAM_NAMES[model]:
+        if name in RATES:
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: -1e-3})
+        else:
+            assert getattr(cls(**{name: -1e-3}), name) == -1e-3
 
 
 @pytest.mark.parametrize("value", [True, "0.01", None, math.nan])

@@ -399,6 +399,16 @@ class TestRecordIO:
         with pytest.raises(ValueError):
             read_records_jsonl(path)
 
+    @pytest.mark.parametrize("batch_id", [5, None, ["a"]])
+    def test_jsonl_rejects_non_string_batch_id(self, tmp_path, batch_id):
+        # analyze sorts groups by batch id, so 5 next to "a" must fail here
+        record = {"batch_id": batch_id, "timestamp": 0, "theta_full": 0.0, "n": 0,
+                  "basis": "X", "shots": 16, "expval": 0.5}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="batch_id must be a string"):
+            read_records_jsonl(path)
+
     def test_jsonl_accepts_integral_floats(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         path.write_text('{"batch_id": "b", "timestamp": 3.0, "theta_full": 1, "n": 2.0, '

@@ -16,10 +16,17 @@ residual vector (`optim.minimize_multistart`).  Start 0 seeds frequencies
 from damped-phasor extraction of <sx> + i<sy> (idle precession advances the
 phase by 2 delta_omega per gate unit; a TLS splits it into
 2(delta_omega +/- nu_zx)) and decay rates from the envelope; the remaining
-starts jitter those seeds.  Uncertainties follow from the central
-finite-difference Jacobian of the same residual vector,
-C = (J^T J)^{-1} L/(N-p); rates are clamped at zero while probing, so a
-sigma at an active bound is one-sided.
+starts jitter those seeds.
+
+Which Jacobian a fit uses follows from its records.  An idle fit (every
+block at theta_full = 0) hands the optimiser the closed-form Jacobian of
+the residual vector, `models.idle_bloch_jacobian` chained through the
+layout's constant slot matrices, and takes its uncertainties
+C = (J^T J)^{-1} L/(N-p) from the same J; at an active bound that is the
+two-sided derivative.  A driven (theta, 0) pair keeps scipy's forward
+differences in the optimiser and `optim.central_jacobian` for C, whose
+probes clamp rates at zero, so there a sigma at an active bound is
+one-sided.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .analysis import extract_phasors, peak_threshold, record_table, records_shots, uniform_grid
 from .models import MODEL_TAGS, PARAM_NAMES, RATES, NoiseParams, PMMEParams, UnsupportedModelError
-from .models import _check_finite, _check_rate, params_to_dict
+from .models import _check_finite, _check_rate, idle_bloch_jacobian, params_to_dict
 from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
 from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_trajectory
 # unused here; perfbench's tracer test reads fitting.schedule_superoperator (ROADMAP item 1)
@@ -102,6 +109,7 @@ class FitResult:
     n_points: int
     converged: bool
     nfev: int
+    njev: int  # closed-form Jacobian evaluations; 0 for a driven (theta, 0) pair
     covariance: np.ndarray
     sigmas: dict[str, float]
     degenerate: bool = False
@@ -190,6 +198,12 @@ class _Layout:
     per_theta: tuple[str, ...]
     tie_b: bool
     names: tuple[str, ...] = field(init=False)
+    # theta -> A_theta, a (len(PARAM_NAMES[model]), len(names)) array: the
+    # parameters of theta are offset + A_theta x (frozen values in offset,
+    # shared slots in every A_theta, b = -2 gamma_z folded in by tie_b), so
+    # A_theta is d p_theta / d x
+    slot_matrix: dict[float, np.ndarray] = field(init=False)
+    offset: np.ndarray = field(init=False)
 
     def __post_init__(self):
         slots = list(self.shared)
@@ -197,6 +211,18 @@ class _Layout:
             for name in self.per_theta:
                 slots.append(self.slot(name, theta))
         self.names = tuple(slots)
+        params = PARAM_NAMES[self.model]
+        self.offset = np.array([self.frozen.get(name, 0.0) for name in params])
+        self.slot_matrix = {}
+        for theta in self.thetas:
+            a = np.zeros((len(params), len(self.names)))
+            for name in self.shared:
+                a[params.index(name), self.names.index(name)] = 1.0
+            for name in self.per_theta:
+                a[params.index(name), self.names.index(self.slot(name, theta))] = 1.0
+            if self.tie_b:
+                a[params.index("b")] = -2.0 * a[params.index("gamma_z")]
+            self.slot_matrix[theta] = a
 
     def slot(self, name: str, theta: float) -> str:
         if len(self.thetas) == 1:
@@ -220,21 +246,13 @@ class _Layout:
 
     def build(self, x: np.ndarray) -> dict[float, NoiseParams]:
         cls = MODEL_TAGS[self.model]
-        by_slot = dict(zip(self.names, x))
+        params = PARAM_NAMES[self.model]
         out = {}
-        for theta in self.thetas:
-            kwargs = dict(self.frozen)
-            for name in self.shared:
-                kwargs[name] = by_slot[name]
-            for name in self.per_theta:
-                kwargs[name] = by_slot[self.slot(name, theta)]
-            if self.tie_b:
-                kwargs["b"] = -2.0 * kwargs["gamma_z"]
-            # finite-difference probes may push a rate epsilon below zero
-            for name in RATES:
-                if name in kwargs:
-                    kwargs[name] = max(0.0, kwargs[name])
-            out[theta] = cls(**kwargs)
+        for theta, a in self.slot_matrix.items():
+            values = self.offset + a.dot(x)
+            # on the driven path, central_jacobian's probes may push a rate
+            # epsilon below zero; the idle closed form never probes
+            out[theta] = cls(*(max(0.0, v) if n in RATES else v for n, v in zip(params, values)))
         return out
 
 
@@ -252,6 +270,8 @@ def _make_layout(model: str, thetas: Sequence[float], config: FitConfig) -> _Lay
     if tie_b and ("b" in frozen or "gamma_z" in frozen):
         raise ValueError("tie_b conflicts with freezing b or gamma_z")
     free = [n for n in names if n not in frozen and not (tie_b and n == "b")]
+    if not free:
+        raise ValueError(f"no free parameters: every {model} parameter is frozen")
     if len(thetas) > 1:
         shared = tuple(n for n in free if n in config.shared)
         bad = set(config.shared) - set(names)
@@ -338,6 +358,15 @@ def _jitter(seeds: dict[str, float], rng: np.random.Generator) -> dict[str, floa
     return out
 
 
+def _starts(layout: _Layout, base: dict[str, float], config: FitConfig) -> list[np.ndarray]:
+    """The base seeds, then config.starts - 1 jitters of them, as slot vectors."""
+    starts = [layout.vector(base)]
+    for s in range(1, config.starts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
+        starts.append(layout.vector(_jitter(base, rng)))
+    return starts
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -349,6 +378,27 @@ def _residual_function(layout: _Layout, blocks: list[_ThetaBlock]):
         return np.concatenate([block.residual(params[block.theta]).ravel() for block in blocks])
 
     return residuals
+
+
+def _jacobian_function(layout: _Layout, blocks: list[_ThetaBlock]):
+    """x -> d residuals / d x in closed form when every block is idle, else None.
+
+    Per block that is -(d bloch / d p)[:, cols, :] @ A_theta, flattened like
+    the residuals.
+    """
+    if any(block.theta != 0.0 for block in blocks):
+        return None
+    width = len(layout.names)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        params = layout.build(x)
+        return np.concatenate([
+            -(idle_bloch_jacobian(params[b.theta], b.ns * b.schedule.duration)[:, b.cols, :]
+              @ layout.slot_matrix[b.theta]).reshape(-1, width)
+            for b in blocks
+        ])
+
+    return jacobian
 
 
 def fit_model(
@@ -376,17 +426,14 @@ def fit_model(
         raise ValueError(f"fit one (theta, 0) pair at a time, got thetas {thetas}")
     layout = _make_layout(model, thetas, config)
     residuals = _residual_function(layout, blocks)
+    jacobian = _jacobian_function(layout, blocks)
 
     base = _base_seeds(model, blocks, config)
-    starts = [layout.vector(base)]
-    for s in range(1, config.starts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(s,)))
-        starts.append(layout.vector(_jitter(base, rng)))
     lower, upper, scale = layout.bounds_and_scale(base)
-    best = minimize_multistart(residuals, starts, lower, upper, scale)
+    best = minimize_multistart(residuals, _starts(layout, base, config), lower, upper, scale, jac=jacobian)
 
     n_points = sum(b.data.size for b in blocks)
-    jac = central_jacobian(residuals, best.x)
+    jac = central_jacobian(residuals, best.x) if jacobian is None else jacobian(best.x)
     cov, sigma, degenerate = covariance_from_jacobian(jac, best.fun, n_points)
     return FitResult(
         model=model,
@@ -398,6 +445,7 @@ def fit_model(
         n_points=n_points,
         converged=bool(best.success),
         nfev=best.nfev,
+        njev=best.njev,
         covariance=cov,
         sigmas=dict(zip(layout.names, sigma)),
         degenerate=bool(degenerate),
@@ -455,6 +503,7 @@ def fit_to_dict(fit: FitResult) -> dict:
         "n_points": fit.n_points,
         "converged": bool(fit.converged),
         "nfev": fit.nfev,
+        "njev": fit.njev,
         "degenerate": bool(fit.degenerate),
         "physical": fit.physical,
         "sigmas": {k: float(v) for k, v in fit.sigmas.items()},

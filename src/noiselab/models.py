@@ -252,6 +252,82 @@ def _idle_bloch(
     return out
 
 
+def _bracket_terms(t: np.ndarray, s: float, d2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{-s t} times cosh x, sinhc x and (cosh x - sinhc x)/x^2, x = t sqrt(d2).
+
+    All three are even in x, so they are real functions of u = x^2 = t^2 d2
+    and the sign of d2 picks one real branch for the whole grid: cos/sin for
+    d2 < 0 and, for d2 > 0, the split form of _memory_bracket (no growing
+    exponential; expm1 keeps sinhc accurate near x ~ 0).  |x| < 1e-3 takes
+    the series 1 + u/2, 1 + u/6 and 1/3 + u/30.
+    """
+    u = t * t * d2
+    decay = np.exp(-s * t)
+    cosh = decay * (1.0 + u / 2.0 + u * u / 24.0)
+    sinhc = decay * (1.0 + u / 6.0 + u * u / 120.0)
+    curv = decay * (1.0 / 3.0 + u / 30.0)
+    big = np.abs(u) >= 1e-6
+    if big.any():
+        tb, ub = t[big], u[big]
+        if d2 < 0.0:
+            y = tb * math.sqrt(-d2)
+            cb = decay[big] * np.cos(y)
+            sb = decay[big] * np.sin(y) / y
+        else:
+            root = math.sqrt(d2)
+            plus = np.exp((root - s) * tb)
+            cb = 0.5 * (plus + np.exp(-(root + s) * tb))
+            sb = -plus * np.expm1(-2.0 * root * tb) / (2.0 * root * tb)
+        cosh[big], sinhc[big], curv[big] = cb, sb, (cb - sb) / ub
+    return cosh, sinhc, curv
+
+
+def idle_bloch_jacobian(params: NoiseParams, t: np.ndarray) -> np.ndarray:
+    """d(c_x, c_y, c_z)/dp of the closed-form idle trajectory, shaped
+    (len(t), 3, len(PARAM_NAMES[model])) with p in PARAM_NAMES order.
+
+    With z = 2 rho_01 = E B, the envelope and phase E contribute -2i t z,
+    -t z/2 and -2 t z for (delta_omega, gamma_ad, gamma_d), and c_z gives
+    t e^{-gamma_ad t}.  The bracket contributes, with x = t sqrt(D2),
+
+        dB/ds  = t e^{-s t} [sinhc - cosh - s t sinhc] ,
+        dB/dD2 = (t^2/2) e^{-s t} [sinhc + s t (cosh - sinhc)/x^2] ,
+
+    chained through s = kappa/4, D2 = s^2 - 4 nu_zx^2 (qubit_tls) or
+    s = (b + 2 gamma_z)/2, D2 = s^2 - 2 gamma_z (pmme).  pmme uses these
+    general formulas at gamma_z = 0 too, where pmme_idle_bloch takes its
+    B = 1 shortcut, so d/dgamma_z is right there.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    # (ds/dp, dD2/dp) for each memory parameter, in PARAM_NAMES order
+    if isinstance(params, QubitTLSParams):
+        s = params.kappa / 4.0
+        d2 = s * s - 4.0 * params.nu_zx**2
+        chain = ((0.0, -8.0 * params.nu_zx), (0.25, 0.5 * s))
+    elif isinstance(params, PMMEParams):
+        s = 0.5 * (params.b + 2.0 * params.gamma_z)
+        d2 = s * s - 2.0 * params.gamma_z
+        chain = ((1.0, 2.0 * s - 2.0), (0.5, s))
+    else:
+        s, d2, chain = 0.0, 0.0, ()
+    cosh, sinhc, curv = _bracket_terms(t, s, d2)
+    st = s * t
+    d_s = t * (sinhc - cosh - st * sinhc)
+    d_d2 = 0.5 * t * t * (sinhc + st * curv)
+    phase = np.exp((-2j * params.delta_omega - 2.0 * params.gamma_d - 0.5 * params.gamma_ad) * t)
+    z = phase * (cosh + st * sinhc)
+    dz = np.stack(
+        [-2j * t * z, -0.5 * t * z, -2.0 * t * z]
+        + [phase * (ds * d_s + dd2 * d_d2) for ds, dd2 in chain],
+        axis=-1,
+    )
+    out = np.zeros((t.shape[0], 3, dz.shape[1]))
+    out[:, 0] = dz.real
+    out[:, 1] = -dz.imag
+    out[:, 2, 1] = t * np.exp(-params.gamma_ad * t)
+    return out
+
+
 def markovian_idle_bloch(params: MarkovianParams, t: np.ndarray) -> np.ndarray:
     """Vectorised exact (c_x, c_y, c_z) from |+> under plain Lindblad idling."""
     return _idle_bloch(t, params.delta_omega, params.gamma_ad, params.gamma_d, 0.0, 0.0)

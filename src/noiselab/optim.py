@@ -6,9 +6,11 @@ is everywhere the same: from each of several starts, minimise the sum of
 squared residuals with the bounded trust-region reflective method of Branch,
 Coleman & Li (1999) (`scipy.optimize.least_squares`, method "trf") under the
 caller's box bounds and per-parameter scales, and keep the best start.
-A caller with a closed-form Jacobian passes it; otherwise the steps use
-scipy's forward differences.  Uncertainties come from the Jacobian of the
-residual vector at the optimum (the closed form, or `central_jacobian`),
+A caller with a closed-form Jacobian passes it (the idle noise-model fits
+and the purity fit do); otherwise the steps use scipy's forward
+differences, whose probes are residual evaluations too.  Uncertainties
+come from the Jacobian of the residual vector at the optimum (the same
+closed form, or `central_jacobian` where there is none),
 
     C = (J^T J)^{-1} * L_min / (N - p) ,
 
@@ -29,9 +31,11 @@ class MultistartResult:
     x: np.ndarray
     fun: float  # sum of squared residuals at x
     success: bool  # whether the winning start met a convergence tolerance
-    # residual evaluations over all starts; finite-difference Jacobian probes
-    # count too when no jac is given
+    # residual evaluations over all starts, finite-difference Jacobian probes
+    # included when no jac is given
     nfev: int
+    # closed-form Jacobian evaluations over all starts; 0 when no jac is given
+    njev: int
 
 
 def minimize_multistart(
@@ -50,9 +54,10 @@ def minimize_multistart(
     there is skipped, and ValueError is raised if no start is left.  scale
     holds per-parameter magnitudes (the trust region's x_scale).  jac maps a
     parameter vector to the residual Jacobian d r / d x and is handed to
-    `least_squares` as is; None keeps its forward differences ("2-point"),
-    whose probes count in nfev.  maxfev caps the residual evaluations of
-    each start, not counting Jacobian probes.
+    `least_squares` as is, and its evaluations count in njev; None keeps
+    its forward differences ("2-point"), whose probes count in nfev and
+    leave njev at 0.  maxfev caps the residual evaluations of each start,
+    not counting Jacobian probes.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -62,7 +67,7 @@ def minimize_multistart(
     if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
         raise ValueError("scales must be positive and finite")
 
-    nfev = 0
+    nfev = njev = 0
 
     def counted(x: np.ndarray) -> np.ndarray:
         nonlocal nfev
@@ -79,11 +84,15 @@ def minimize_multistart(
                 counted, x0, jac="2-point" if jac is None else jac, bounds=(lower, upper),
                 x_scale=scale, method="trf", max_nfev=maxfev,
             )
+            if jac is not None:
+                njev += res.njev
             if best is None or res.cost < best.cost:
                 best = res
     if best is None:
         raise ValueError("no start has finite residuals")
-    return MultistartResult(x=best.x, fun=2.0 * float(best.cost), success=bool(best.success), nfev=nfev)
+    return MultistartResult(
+        x=best.x, fun=2.0 * float(best.cost), success=bool(best.success), nfev=nfev, njev=njev
+    )
 
 
 def central_jacobian(

@@ -6,6 +6,9 @@ both the qubit-TLS and the (deliberately wrong) Markovian model.  Fit
 accuracy, reported-sigma calibration, and the model-misfit RMSE gap are
 all read off this one session-scoped run.  Random parameter draws live in
 `noiselab.oracles`, next to the checks that use them.
+
+`relative_step_jacobian` is the finite-difference oracle that closed-form
+Jacobians are tested against.
 """
 
 import time
@@ -26,6 +29,36 @@ STUDY_TRUTH = QubitTLSParams(
 STUDY_SCHEDULE = PseudoidentitySchedule(theta_full=0.0, n_values=tuple(range(0, 151, 10)))
 STUDY_SHOTS = 1024
 STUDY_SEEDS = 50
+
+
+def relative_step_jacobian(f, x, nonneg) -> np.ndarray:
+    """d f / d x by differences with step h_i = 1e-3 max(|x_i|, 1e-5),
+    Richardson-extrapolated over h and h/2 (error O(h^4)).
+
+    A coordinate flagged in nonneg that would step below zero takes the
+    one-sided three-point difference instead of the central one.  Unlike
+    optim.central_jacobian's absolute 1e-6 floor, the step scales with
+    rates far below 1e-6.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def shifted(i, dx):
+        y = x.copy()
+        y[i] += dx
+        return np.asarray(f(y), dtype=float)
+
+    cols = []
+    for i, lower_bounded in enumerate(nonneg):
+        h = 1e-3 * max(abs(x[i]), 1e-5)
+        one_sided = lower_bounded and x[i] - h < 0.0
+
+        def diff(h):
+            if one_sided:
+                return (-3.0 * shifted(i, 0.0) + 4.0 * shifted(i, h) - shifted(i, 2.0 * h)) / (2.0 * h)
+            return (shifted(i, h) - shifted(i, -h)) / (2.0 * h)
+
+        cols.append((4.0 * diff(h / 2.0) - diff(h)) / 3.0)
+    return np.stack(cols, axis=-1)
 
 
 @pytest.fixture(scope="session")

@@ -255,7 +255,7 @@ class TestFit:
                 params_by_theta={0.0: MarkovianParams(0.0, 0.0, 0.0)},
                 free_names=("delta_omega",),
                 free_values=np.zeros(1),
-                loss=1.0, rmse=0.1, n_points=100, converged=False, nfev=1600,
+                loss=1.0, rmse=0.1, n_points=100, converged=False, nfev=1600, njev=0,
                 covariance=np.zeros((1, 1)), sigmas={"delta_omega": 0.0},
             )
 
@@ -609,3 +609,16 @@ class TestParser:
         rc = main(["fit", "--model", "qubit_tls", "--data", sim + ".records.csv",
                    "--out", str(tmp_path / "fit.json"), "--freeze", "kappa:0"])
         assert rc == 2
+
+    def test_all_parameters_frozen_is_config_error(self, tmp_path, idle_schedule, capsys):
+        params = _write(tmp_path / "p.json", MARKOV_PARAMS)
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--params", params, "--schedule", idle_schedule,
+                     "--shots", "0", "--seed", "0", "--out", sim]) == 0
+        capsys.readouterr()
+        rc = main(["fit", "--model", "markovian", "--data", sim + ".records.csv",
+                   "--out", str(tmp_path / "fit.json"), "--freeze", "delta_omega=0",
+                   "--freeze", "gamma_ad=0", "--freeze", "gamma_d=0"])
+        assert rc == 2
+        assert "no free parameters: every markovian parameter is frozen" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()

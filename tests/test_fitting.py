@@ -7,22 +7,32 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import relative_step_jacobian
 from noiselab.analysis import detect_nonmarkovianity, record_table
 from noiselab.fitting import (
     FitConfig,
     FitResult,
+    _base_seeds,
+    _build_blocks,
+    _jacobian_function,
+    _make_layout,
+    _residual_function,
+    _starts,
     fit_model,
     fit_to_dict,
     loss,
     parameter_ratios,
 )
 from noiselab.models import (
+    RATES,
     MarkovianParams,
     PMMEParams,
     QubitTLSParams,
     UnsupportedModelError,
 )
+from noiselab.optim import central_jacobian, covariance_from_jacobian, minimize_multistart
 from noiselab.oracles import draw_markovian, draw_pmme, draw_qubit_tls
 from noiselab.schedule import PseudoidentitySchedule
 from noiselab.synth import generate_batch, records_by_theta
@@ -245,11 +255,113 @@ class TestConfig:
         with pytest.raises(ValueError, match="tie_b"):
             fit_model("pmme", recs, FitConfig(tie_b=True, frozen={"b": 0.0}))
 
+    @pytest.mark.parametrize("model, frozen", [
+        ("markovian", {"delta_omega": 0.0, "gamma_ad": 0.0, "gamma_d": 0.0}),
+        ("qubit_tls", {"delta_omega": 0.0, "gamma_ad": 0.0, "gamma_d": 0.0, "nu_zx": 0.0, "kappa": 0.0}),
+    ])
+    def test_every_parameter_frozen_rejected(self, model, frozen):
+        recs = generate_batch(TLS, IDLE, 0, 0)
+        with pytest.raises(ValueError, match=f"no free parameters: every {model} parameter is frozen"):
+            fit_model(model, recs, FitConfig(frozen=frozen))
+
     def test_frozen_value_is_pinned(self):
         recs = generate_batch(TLS, IDLE, 0, 0)
         fit = fit_model("qubit_tls", recs, FitConfig(starts=4, frozen={"gamma_ad": 1e-3}))
         assert fit.params.gamma_ad == 1e-3
         assert "gamma_ad" not in fit.free_names
+
+
+# ---------------------------------------------------------------------------
+# closed-form Jacobian of idle fits
+
+# per-base-name ranges for slot vectors, rates well above zero
+_SLOT_RANGES = {
+    "delta_omega": (-0.01, 0.01), "gamma_ad": (1e-5, 1e-3), "gamma_d": (1e-5, 1e-3),
+    "nu_zx": (1e-4, 1e-2), "kappa": (1e-4, 0.05), "gamma_z": (1e-5, 1e-3), "b": (-2e-3, 0.05),
+}
+_IDLE_LAYOUTS = [
+    ("markovian", {}),
+    ("markovian", {"frozen": {"delta_omega": 0.002}}),
+    ("qubit_tls", {}),  # kappa frozen at 0 by default
+    ("qubit_tls", {"frozen": {}}),
+    ("qubit_tls", {"frozen": {"gamma_ad": 3.6e-5, "nu_zx": 0.0027}}),
+    ("pmme", {}),
+    ("pmme", {"frozen": {"b": -1e-4}}),
+    ("pmme", {"tie_b": True}),
+    ("pmme", {"frozen": {"gamma_ad": 3.6e-5}, "tie_b": True}),
+]
+
+
+def _slot_vector(layout, units):
+    names = [n.split("@")[0] for n in layout.names]
+    return np.array([lo + (hi - lo) * u for n, u in zip(names, units) for lo, hi in [_SLOT_RANGES[n]]])
+
+
+class TestIdleJacobian:
+    @pytest.mark.parametrize("model, kwargs", _IDLE_LAYOUTS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(units=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_fit_jacobian_matches_finite_differences(self, model, kwargs, units):
+        blocks = _build_blocks(generate_batch(TLS, IDLE, 1024, 0), 4)
+        layout = _make_layout(model, [0.0], FitConfig(**kwargs))
+        x = _slot_vector(layout, units)
+        jac = _jacobian_function(layout, blocks)(x)
+        oracle = relative_step_jacobian(
+            _residual_function(layout, blocks), x, [n.split("@")[0] in RATES for n in layout.names]
+        )
+        assert jac.shape == (len(IDLE.bases) * len(IDLE.n_values), len(layout.names))
+        for i, name in enumerate(layout.names):
+            err = np.linalg.norm(jac[:, i] - oracle[:, i])
+            assert err <= 1e-6 * np.linalg.norm(oracle[:, i]), (name, err)
+
+    def test_build_places_shared_per_theta_and_frozen_values(self):
+        layout = _make_layout("qubit_tls", [0.0, 1.2], FitConfig(shared=("gamma_d",), frozen={"gamma_ad": 1e-4}))
+        x = np.random.default_rng(3).uniform(1e-5, 1e-2, len(layout.names))
+        slots = dict(zip(layout.names, x))
+        for theta, p in layout.build(x).items():
+            assert p.gamma_ad == 1e-4 and p.gamma_d == slots["gamma_d"]
+            for name in ("delta_omega", "nu_zx", "kappa"):
+                assert getattr(p, name) == slots[layout.slot(name, theta)]
+
+    def test_driven_pair_keeps_finite_differences(self):
+        recs = generate_batch(MARKOV, SHORT_DRIVEN, 0, 0)
+        blocks = _build_blocks(recs, 4)
+        layout = _make_layout("markovian", [b.theta for b in blocks], FitConfig())
+        assert _jacobian_function(layout, blocks) is None
+        assert fit_model("markovian", recs, FitConfig(starts=2)).njev == 0
+
+    def test_idle_fit_counts_jacobian_evaluations(self):
+        recs = generate_batch(TLS, IDLE, 1024, 9)
+        a = fit_model("qubit_tls", recs, FitConfig(starts=4))
+        b = fit_model("qubit_tls", recs, FitConfig(starts=4))
+        assert a.njev > 0
+        assert a.njev == b.njev and fit_to_dict(a)["njev"] == a.njev
+
+    @pytest.mark.parametrize("model, kwargs", [
+        ("qubit_tls", {}), ("markovian", {}), ("pmme", {"tie_b": True}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_fit_matches_the_finite_difference_fit(self, model, kwargs, seed):
+        # README truth at 1024 shots; the reference runs the same starts
+        # through scipy's forward differences and central_jacobian
+        records = generate_batch(TLS, IDLE, 1024, seed)
+        config = FitConfig(starts=8, **kwargs)
+        fit = fit_model(model, records, config)
+
+        blocks = _build_blocks(records, config.m)
+        layout = _make_layout(model, [0.0], config)
+        residuals = _residual_function(layout, blocks)
+        base = _base_seeds(model, blocks, config)
+        lower, upper, scale = layout.bounds_and_scale(base)
+        ref = minimize_multistart(residuals, _starts(layout, base, config), lower, upper, scale, jac=None)
+        _, sigma, _ = covariance_from_jacobian(central_jacobian(residuals, ref.x), ref.fun, fit.n_points)
+
+        assert ref.njev == 0 and fit.njev > 0
+        closed = _jacobian_function(layout, blocks)(fit.free_values)
+        assert np.array_equal(fit.covariance, covariance_from_jacobian(closed, fit.loss, fit.n_points)[0])
+        assert fit.loss == pytest.approx(ref.fun, rel=1e-8)
+        assert [fit.sigmas[n] for n in layout.names] == pytest.approx(sigma, rel=0.01)
+        assert 3 * fit.nfev <= ref.nfev
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +430,7 @@ def _handmade_joint_fit(num, den, var_num, var_den, cov_nd) -> FitResult:
         n_points=12,
         converged=True,
         nfev=1,
+        njev=0,
         covariance=cov,
         sigmas={"delta_omega@0": math.sqrt(var_den), "delta_omega@2": math.sqrt(var_num)},
     )

@@ -14,6 +14,7 @@ from noiselab.models import (
     PMMEParams,
     QubitTLSParams,
     effective_dephasing,
+    idle_bloch_jacobian,
     map_pmme_to_qubit_tls,
     map_qubit_tls_to_pmme,
     markovian_generator,
@@ -36,6 +37,7 @@ from noiselab.oracles import (
     qubit_tls_engine_vs_closed_form,
     tls_pmme_mapped_equivalence,
 )
+from conftest import relative_step_jacobian
 from noiselab.pauli import (
     PauliVector,
     density_matrix,
@@ -201,6 +203,78 @@ def test_bracket_continuous_at_degenerate_split():
     hi = qubit_tls_idle_bloch(QubitTLSParams(nu_zx=nu, kappa=8.0 * nu * (1 + 1e-7), **base), t)
     assert np.max(np.abs(at - lo)) < 1e-6
     assert np.max(np.abs(at - hi)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed-form idle Jacobian
+
+_IDLE_T = 8.0 * np.arange(0, 151, 10)  # t = 2 m n on the README idle grid, m = 4
+_IDLE_BLOCH = {
+    "markovian": markovian_idle_bloch,
+    "qubit_tls": qubit_tls_idle_bloch,
+    "pmme": pmme_idle_bloch,
+}
+
+
+def _jacobian_case(regime, base, nu, g, q, r):
+    """One parameter set per branch of the bracket derivatives."""
+    if regime == "markovian":
+        return MarkovianParams(**base)
+    if regime == "kappa_zero":
+        return QubitTLSParams(nu_zx=nu, kappa=0.0, **base)
+    if regime == "underdamped":
+        return QubitTLSParams(nu_zx=nu, kappa=8.0 * nu * (0.05 + 0.9 * q), **base)
+    if regime == "overdamped":
+        return QubitTLSParams(nu_zx=nu, kappa=8.0 * nu * (1.1 + 5.0 * q), **base)
+    if regime == "critical":
+        # kappa/4 = 2 nu to 1e-10: |t D| < 1e-3 on the whole grid
+        return QubitTLSParams(nu_zx=nu, kappa=8.0 * nu * (1.0 + 1e-10 * (2.0 * q - 1.0)), **base)
+    if regime == "large_kappa":
+        # overdamped at kappa t up to 6000, far past where cosh(t D) overflows
+        kappa = 1.0 + 4.0 * q
+        return QubitTLSParams(nu_zx=kappa * (0.2 + 0.7 * r) / 8.0, kappa=kappa, **base)
+    if regime == "pmme_gamma_z_zero":
+        return PMMEParams(gamma_z=0.0, b=-0.01 + 0.06 * q, **base)
+    if regime == "pmme_physical":
+        return PMMEParams(gamma_z=g, b=-2.0 * g + 0.05 * q, **base)
+    assert regime == "pmme_below_minus_two_gamma_z"
+    return PMMEParams(gamma_z=g, b=-2.0 * g - 1e-6 - 1e-3 * q, **base)
+
+
+@pytest.mark.parametrize("regime", [
+    "markovian", "kappa_zero", "underdamped", "overdamped", "critical", "large_kappa",
+    "pmme_gamma_z_zero", "pmme_physical", "pmme_below_minus_two_gamma_z",
+])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    dw=st.floats(-0.01, 0.01),
+    gad=st.floats(1e-5, 1e-3),
+    gd=st.floats(1e-5, 1e-3),
+    nu=st.floats(1e-4, 1e-2),
+    g=st.floats(1e-5, 1e-3),
+    q=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+)
+def test_idle_jacobian_matches_finite_differences(regime, dw, gad, gd, nu, g, q, r):
+    params = _jacobian_case(regime, dict(delta_omega=dw, gamma_ad=gad, gamma_d=gd), nu, g, q, r)
+    tag = model_tag(params)
+    names = PARAM_NAMES[tag]
+    if regime == "critical":
+        s = params.kappa / 4.0
+        assert _IDLE_T[-1] * math.sqrt(abs(s * s - 4.0 * params.nu_zx**2)) < 1e-3
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        jac = idle_bloch_jacobian(params, _IDLE_T)
+    assert jac.shape == (len(_IDLE_T), 3, len(names))
+    assert np.all(np.isfinite(jac))
+    oracle = relative_step_jacobian(
+        lambda x: _IDLE_BLOCH[tag](MODEL_TAGS[tag](*x), _IDLE_T),
+        [getattr(params, n) for n in names], [n in RATES for n in names],
+    )
+    # per column; the floor covers d/db at gamma_z = 0, identically zero
+    floor = 1e-9 * np.linalg.norm(oracle)
+    for i, name in enumerate(names):
+        err = np.linalg.norm(jac[..., i] - oracle[..., i])
+        assert err <= 1e-6 * np.linalg.norm(oracle[..., i]) + floor, (name, err)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,10 @@ def test_exact_jacobian_reaches_the_finite_difference_minimum_in_fewer_evaluatio
 
     starts = [np.array([1.0, 0.5, 0.0]), np.array([3.0, 1.0, 0.5])]
     fd = minimize_multistart(resid, starts, lower, upper)
-    exact = minimize_multistart(resid, starts, lower, upper, jac=jac)
+    counted_jac = _Counting(jac)
+    exact = minimize_multistart(resid, starts, lower, upper, jac=counted_jac)
+    assert exact.njev == counted_jac.calls > 0
+    assert fd.njev == 0
     assert exact.x[1] == pytest.approx(upper[1], abs=1e-12)
     assert exact.x == pytest.approx(fd.x, abs=1e-10)
     assert exact.fun == pytest.approx(fd.fun, abs=1e-10)

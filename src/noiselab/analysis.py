@@ -176,6 +176,7 @@ class PurityFit:
     n_points: int
     degenerate: bool
     nfev: int  # residual evaluations of the main and null fits
+    njev: int  # their closed-form Jacobian evaluations
 
 
 def _purity_model(ns: np.ndarray, period: float, f: float, g: float) -> np.ndarray:
@@ -296,6 +297,7 @@ def fit_purity(records: Sequence[ExperimentRecord], m: int = 4) -> PurityFit:
         n_points=n_points,
         degenerate=degenerate,
         nfev=best.nfev + null.nfev,
+        njev=best.njev + null.njev,
     )
 
 

@@ -18,15 +18,12 @@ phase by 2 delta_omega per gate unit; a TLS splits it into
 2(delta_omega +/- nu_zx)) and decay rates from the envelope; the remaining
 starts jitter those seeds.
 
-Which Jacobian a fit uses follows from its records.  An idle fit (every
-block at theta_full = 0) hands the optimiser the closed-form Jacobian of
-the residual vector, `models.idle_bloch_jacobian` chained through the
-layout's constant slot matrices, and takes its uncertainties
-C = (J^T J)^{-1} L/(N-p) from the same J; at an active bound that is the
-two-sided derivative.  A driven (theta, 0) pair keeps scipy's forward
-differences in the optimiser and `optim.central_jacobian` for C, whose
-probes clamp rates at zero, so there a sigma at an active bound is
-one-sided.
+Every fit hands the optimiser the closed-form Jacobian of its residual
+vector, `schedule.bloch_jacobian` chained through the layout's constant
+slot matrices (the idle closed form's derivative on an idle block, the
+augmented block generator's exponential on a driven one), and takes its
+uncertainties C = (J^T J)^{-1} L/(N-p) from the same J.  At an active
+bound that is the two-sided derivative.
 """
 
 from __future__ import annotations
@@ -39,9 +36,9 @@ import numpy as np
 
 from .analysis import extract_phasors, peak_threshold, record_table, records_shots, uniform_grid
 from .models import MODEL_TAGS, PARAM_NAMES, RATES, NoiseParams, PMMEParams, UnsupportedModelError
-from .models import _check_finite, _check_rate, idle_bloch_jacobian, params_to_dict
-from .optim import central_jacobian, covariance_from_jacobian, minimize_multistart
-from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_trajectory
+from .models import _check_finite, _check_rate, params_to_dict
+from .optim import covariance_from_jacobian, minimize_multistart
+from .schedule import PseudoidentitySchedule, _count, _half_length, bloch_jacobian, bloch_trajectory
 # unused here; perfbench's tracer test reads fitting.schedule_superoperator (ROADMAP item 1)
 from .schedule import schedule_superoperator
 from .synth import ExperimentRecord, records_by_theta
@@ -109,7 +106,7 @@ class FitResult:
     n_points: int
     converged: bool
     nfev: int
-    njev: int  # closed-form Jacobian evaluations; 0 for a driven (theta, 0) pair
+    njev: int  # closed-form Jacobian evaluations over all starts
     covariance: np.ndarray
     sigmas: dict[str, float]
     degenerate: bool = False
@@ -250,8 +247,9 @@ class _Layout:
         out = {}
         for theta, a in self.slot_matrix.items():
             values = self.offset + a.dot(x)
-            # on the driven path, central_jacobian's probes may push a rate
-            # epsilon below zero; the idle closed form never probes
+            # the optimiser stays inside the rate bounds; only the tests'
+            # finite-difference oracles (central_jacobian) probe a rate
+            # epsilon below zero
             out[theta] = cls(*(max(0.0, v) if n in RATES else v for n, v in zip(params, values)))
         return out
 
@@ -381,22 +379,26 @@ def _residual_function(layout: _Layout, blocks: list[_ThetaBlock]):
 
 
 def _jacobian_function(layout: _Layout, blocks: list[_ThetaBlock]):
-    """x -> d residuals / d x in closed form when every block is idle, else None.
+    """x -> d residuals / d x in closed form.
 
     Per block that is -(d bloch / d p)[:, cols, :] @ A_theta, flattened like
-    the residuals.
+    the residuals, with d bloch / d p from `schedule.bloch_jacobian` taken
+    only for the parameters that have a nonzero row in A_theta.
     """
-    if any(block.theta != 0.0 for block in blocks):
-        return None
     width = len(layout.names)
+    # theta -> (the parameters with a nonzero row in A_theta, those rows)
+    reduced = {}
+    for theta, a in layout.slot_matrix.items():
+        rows = np.flatnonzero(a.any(axis=1))
+        reduced[theta] = (rows, a[rows])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         params = layout.build(x)
-        return np.concatenate([
-            -(idle_bloch_jacobian(params[b.theta], b.ns * b.schedule.duration)[:, b.cols, :]
-              @ layout.slot_matrix[b.theta]).reshape(-1, width)
-            for b in blocks
-        ])
+        out = []
+        for b in blocks:
+            rows, a = reduced[b.theta]
+            out.append(-(bloch_jacobian(params[b.theta], b.schedule, rows)[:, b.cols, :] @ a).reshape(-1, width))
+        return np.concatenate(out)
 
     return jacobian
 
@@ -433,8 +435,7 @@ def fit_model(
     best = minimize_multistart(residuals, _starts(layout, base, config), lower, upper, scale, jac=jacobian)
 
     n_points = sum(b.data.size for b in blocks)
-    jac = central_jacobian(residuals, best.x) if jacobian is None else jacobian(best.x)
-    cov, sigma, degenerate = covariance_from_jacobian(jac, best.fun, n_points)
+    cov, sigma, degenerate = covariance_from_jacobian(jacobian(best.x), best.fun, n_points)
     return FitResult(
         model=model,
         params_by_theta=layout.build(best.x),

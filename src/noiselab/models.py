@@ -35,6 +35,7 @@ coherences pick up exp(-gamma_ad t / 2) and c_z(t) = 1 - e^{-gamma_ad t}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -42,7 +43,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .pauli import IDENTITY_2, PauliVector, _check_finite, _check_rate, build_generator
+from .pauli import IDENTITY_2, PauliVector, _check_finite, _check_rate, _projection, build_generator
+from .pauli import pauli_string_matrix
 
 # Jump operator relaxing |1> -> |0>, and its qubit and TLS embeddings in the
 # qubit (x) TLS space.
@@ -161,15 +163,34 @@ def params_from_dict(data: dict) -> NoiseParams:
 # ---------------------------------------------------------------------------
 # generators
 
+# Each driven model's GKLS terms, one per parameter in PARAM_NAMES order: the
+# parameter is the coefficient of a Hamiltonian Pauli string ("H") or the
+# rate of a jump operator ("D").  The drive is the coefficient of the
+# model's sigma_x string, and q is the number of qubits (with the TLS).
+_TERMS: dict[str, tuple[tuple[str, str | np.ndarray], ...]] = {
+    "markovian": (("H", "Z"), ("D", L_AD), ("D", "Z")),
+    "qubit_tls": (("H", "ZI"), ("D", _L_AD_QUBIT), ("D", "ZI"), ("H", "ZX"), ("D", _L_AD_TLS)),
+}
+_DRIVE = {"markovian": ("X", 1), "qubit_tls": ("XI", 2)}
+
+
+def _generator(model: str, params: NoiseParams, drive: float) -> np.ndarray:
+    label, q = _DRIVE[model]
+    ham = [(label, drive)]
+    diss = []
+    for name, (kind, op) in zip(PARAM_NAMES[model], _TERMS[model]):
+        (ham if kind == "H" else diss).append((op, getattr(params, name)))
+    return build_generator(ham, diss, q)
+
+
 def markovian_generator(params: MarkovianParams, drive: float = 0.0) -> np.ndarray:
     """4x4 Pauli-coordinate generator for the driven Markovian qubit.
 
-    drive is the sigma_x Hamiltonian coefficient; its sign is the drive axis
-    (+x or -x), which is how the mirrored half of a pseudoidentity enters.
+    H = drive sigma_x + delta_omega sigma_z, jumps L_AD at gamma_ad and
+    sigma_z at gamma_d.  drive's sign is the drive axis (+x or -x), which is
+    how the mirrored half of a pseudoidentity enters.
     """
-    ham = [("X", drive), ("Z", params.delta_omega)]
-    diss = [(L_AD, params.gamma_ad), ("Z", params.gamma_d)]
-    return build_generator(ham, diss, 1)
+    return _generator("markovian", params, drive)
 
 
 def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> np.ndarray:
@@ -180,13 +201,21 @@ def qubit_tls_generator(params: QubitTLSParams, drive: float = 0.0) -> np.ndarra
     the TLS has no local Hamiltonian, couples through nu_zx sigma_z (x) tau_x,
     and relaxes at kappa.
     """
-    ham = [("XI", drive), ("ZI", params.delta_omega), ("ZX", params.nu_zx)]
-    diss = [
-        (_L_AD_QUBIT, params.gamma_ad),
-        ("ZI", params.gamma_d),
-        (_L_AD_TLS, params.kappa),
-    ]
-    return build_generator(ham, diss, 2)
+    return _generator("qubit_tls", params, drive)
+
+
+@functools.lru_cache(maxsize=None)
+def generator_terms(model: str) -> np.ndarray:
+    """d L / d p of a driven model's generator for every parameter p, stacked
+    in PARAM_NAMES order, shape (len(PARAM_NAMES[model]), 4^q, 4^q) and
+    read-only.  L is linear in its parameters, so these are the unit terms
+    (`pauli._projection`) that its generator sums; they do not depend on the
+    parameter values or the drive."""
+    _, q = _DRIVE[model]
+    ops = [(kind, pauli_string_matrix(op, q) if isinstance(op, str) else op) for kind, op in _TERMS[model]]
+    out = np.stack([_projection(q, kind, op.tobytes()) for kind, op in ops])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

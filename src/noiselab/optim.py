@@ -6,11 +6,12 @@ is everywhere the same: from each of several starts, minimise the sum of
 squared residuals with the bounded trust-region reflective method of Branch,
 Coleman & Li (1999) (`scipy.optimize.least_squares`, method "trf") under the
 caller's box bounds and per-parameter scales, and keep the best start.
-A caller with a closed-form Jacobian passes it (the idle noise-model fits
-and the purity fit do); otherwise the steps use scipy's forward
-differences, whose probes are residual evaluations too.  Uncertainties
-come from the Jacobian of the residual vector at the optimum (the same
-closed form, or `central_jacobian` where there is none),
+A caller with a closed-form Jacobian passes it (every noise-model fit and
+the purity fit do); otherwise (`analysis.fit_single_frequency`) the steps
+use scipy's forward differences ("2-point"), whose probes are residual
+evaluations too.  Uncertainties come from the Jacobian of the residual
+vector at the optimum (the same closed form; `central_jacobian` is the
+central-difference oracle that tests check closed forms against),
 
     C = (J^T J)^{-1} * L_min / (N - p) ,
 

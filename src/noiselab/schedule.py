@@ -20,13 +20,15 @@ sequence, so one idle pseudoidentity is exactly 2 m gate units of free decay.
 expectation values: synthetic records (`synth`) and every fit (`fitting`) read
 it.  Idle schedules take the model's closed-form free decay at t = 2 m n;
 driven ones step the block superoperator's powers along the sorted n grid.
+`bloch_jacobian` is its exact derivative in the noise parameters, which
+every fit optimises with.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -38,8 +40,11 @@ from .models import (
     QubitTLSParams,
     UnsupportedModelError,
     _check_finite,
+    generator_terms,
+    idle_bloch_jacobian,
     markovian_generator,
     markovian_idle_bloch,
+    model_tag,
     pmme_idle_bloch,
     qubit_tls_generator,
     qubit_tls_idle_bloch,
@@ -126,6 +131,27 @@ class PseudoidentitySchedule:
         )
 
 
+def _generator_function(params: NoiseParams):
+    """The generator function of params' model; memory-kernel (PMME) params
+    are rejected since the kernel does not factor into gates."""
+    if isinstance(params, MarkovianParams):
+        return markovian_generator
+    if isinstance(params, QubitTLSParams):
+        return qubit_tls_generator
+    raise UnsupportedModelError(
+        "memory-kernel dynamics has no per-gate superoperator; "
+        "only idle trajectories are defined for PMME parameters"
+    )
+
+
+def _start_and_axes(dim: int) -> tuple[np.ndarray, list[int]]:
+    """The |+> start (the TLS, if present, in its ground state) of a dim-d
+    Pauli vector and the indices of the qubit's sigma_x, sigma_y, sigma_z."""
+    if dim == 16:
+        return PauliVector.plus_tls_ground().coeffs, [4, 8, 12]
+    return PauliVector.plus().coeffs, [1, 2, 3]
+
+
 def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule) -> np.ndarray:
     """Block superoperator of one full pseudoidentity repetition under the noise
     model, as a float array whose first row is exactly (1, 0, ..., 0).
@@ -135,15 +161,7 @@ def schedule_superoperator(params: NoiseParams, schedule: PseudoidentitySchedule
     give a 4x4 map, qubit-TLS a 16x16 map; memory-kernel (PMME) params are
     rejected since the kernel does not factor into gates.
     """
-    if isinstance(params, MarkovianParams):
-        generator = markovian_generator
-    elif isinstance(params, QubitTLSParams):
-        generator = qubit_tls_generator
-    else:
-        raise UnsupportedModelError(
-            "memory-kernel dynamics has no per-gate superoperator; "
-            "only idle trajectories are defined for PMME parameters"
-        )
+    generator = _generator_function(params)
     m = schedule.m
     omega = schedule.theta_full / (2.0 * m)
     first = propagate(generator(params, omega), m)
@@ -171,10 +189,50 @@ def bloch_trajectory(params: NoiseParams, schedule: PseudoidentitySchedule) -> n
         if isinstance(params, PMMEParams):
             return pmme_idle_bloch(params, t)
     sup = schedule_superoperator(params, schedule)
-    engine = PowerEngine(sup)
-    if sup.shape[0] == 16:
-        return engine.states(ns, PauliVector.plus_tls_ground().coeffs)[:, [4, 8, 12]]
-    return engine.states(ns, PauliVector.plus().coeffs)[:, 1:4]
+    c0, axes = _start_and_axes(sup.shape[0])
+    return PowerEngine(sup).states(ns, c0)[:, axes]
+
+
+def bloch_jacobian(
+    params: NoiseParams, schedule: PseudoidentitySchedule, columns: Sequence[int]
+) -> np.ndarray:
+    """d(c_x, c_y, c_z)/dp of bloch_trajectory for the parameters
+    PARAM_NAMES[model][columns], shaped (len(n_values), 3, len(columns)).
+
+    Idle schedules read `models.idle_bloch_jacobian`.  On a driven one the
+    generator is linear in its parameters, L = drive X + sum_k p_k G_k with
+    G_k = `models.generator_terms`, so (Van Loan 1978) the exponential of
+    the block-arrow matrix with L on every diagonal block and G_k in block
+    row k, column 0 holds exp(m L) in block (0, 0) and d exp(m L) / dp_k in
+    block (k, 0).  Such matrices are closed under products, so the product
+    of the two halves' exponentials holds the block superoperator Lambda and
+    (product rule) every d Lambda / dp_k, and its n-th power every
+    d Lambda^n / dp_k: one `PowerEngine` pass from (c0, 0, ..., 0) steps
+    the trajectory and all its derivatives together.  A parameter left out
+    of columns costs nothing.
+    """
+    ns = np.asarray(schedule.n_values, dtype=int)
+    columns = list(columns)
+    if schedule.theta_full == 0.0:
+        return idle_bloch_jacobian(params, ns * schedule.duration)[:, :, columns]
+    generator = _generator_function(params)
+    terms = generator_terms(model_tag(params))[columns]
+    k, dim = terms.shape[0], terms.shape[-1]
+    m = schedule.m
+    omega = schedule.theta_full / (2.0 * m)
+    diagonal = np.arange(k + 1)
+
+    def half(drive: float) -> np.ndarray:
+        arrow = np.zeros((k + 1, dim, k + 1, dim))
+        arrow[diagonal, :, diagonal, :] = generator(params, drive)
+        arrow[1:, :, 0, :] = terms
+        return expm(m * arrow.reshape((k + 1) * dim, (k + 1) * dim))
+
+    c0, axes = _start_and_axes(dim)
+    start = np.zeros((k + 1) * dim)
+    start[:dim] = c0
+    states = PowerEngine(half(-omega) @ half(omega)).states(ns, start)
+    return states.reshape(len(ns), k + 1, dim)[:, 1:, axes].transpose(0, 2, 1)
 
 
 def predict_trajectory(

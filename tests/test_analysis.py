@@ -211,6 +211,13 @@ class TestPurityFit:
         assert first == again
         assert first.nfev > 0
 
+    def test_jacobian_evaluations_are_counted(self):
+        # the main and null fits both take the closed-form Jacobian
+        recs = generate_batch(README_TRUTH, COARSE_IDLE, 1024, 3)
+        first, again = fit_purity(recs), fit_purity(recs)
+        assert first.njev > 0
+        assert first.njev == again.njev
+
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(
         step=st.integers(1, 25),

@@ -39,6 +39,8 @@ from noiselab.synth import generate_batch, records_by_theta
 
 IDLE = PseudoidentitySchedule(theta_full=0.0, n_values=tuple(range(0, 151, 10)))
 SHORT_DRIVEN = PseudoidentitySchedule(theta_full=1.2566370614359172, n_values=tuple(range(0, 61, 10)))
+PI_5 = replace(IDLE, theta_full=math.pi / 5)
+_PAIR = (math.pi / 5, 0.0)
 MARKOV = MarkovianParams(delta_omega=0.01, gamma_ad=1e-4, gamma_d=3e-4)
 TLS = QubitTLSParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=1.9e-4, nu_zx=0.0027, kappa=0.0)
 PMME = PMMEParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=1.9e-4, gamma_z=1.458e-5, b=-2.916e-5)
@@ -272,7 +274,7 @@ class TestConfig:
 
 
 # ---------------------------------------------------------------------------
-# closed-form Jacobian of idle fits
+# closed-form Jacobian of every fit
 
 # per-base-name ranges for slot vectors, rates well above zero
 _SLOT_RANGES = {
@@ -323,12 +325,38 @@ class TestIdleJacobian:
             for name in ("delta_omega", "nu_zx", "kappa"):
                 assert getattr(p, name) == slots[layout.slot(name, theta)]
 
-    def test_driven_pair_keeps_finite_differences(self):
+    def test_driven_pair_gets_a_closed_form_jacobian(self):
         recs = generate_batch(MARKOV, SHORT_DRIVEN, 0, 0)
         blocks = _build_blocks(recs, 4)
         layout = _make_layout("markovian", [b.theta for b in blocks], FitConfig())
-        assert _jacobian_function(layout, blocks) is None
-        assert fit_model("markovian", recs, FitConfig(starts=2)).njev == 0
+        x = layout.vector({"delta_omega": 0.01, "gamma_ad": 1e-4, "gamma_d": 3e-4})
+        jac = _jacobian_function(layout, blocks)(x)
+        assert jac.shape == (len(recs), len(layout.names)) and np.all(np.isfinite(jac))
+        assert fit_model("markovian", recs, FitConfig(starts=2)).njev > 0
+
+    @pytest.mark.parametrize("model, kwargs, thetas", [
+        ("markovian", {}, _PAIR),
+        ("qubit_tls", {}, _PAIR),  # kappa frozen at 0
+        ("qubit_tls", {"frozen": {}, "shared": ("gamma_ad", "gamma_d", "kappa")}, _PAIR),
+        ("qubit_tls", {"frozen": {}, "shared": ()}, _PAIR),
+        ("markovian", {}, _PAIR[:1]),
+        ("qubit_tls", {"frozen": {}}, _PAIR[:1]),
+    ])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(units=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+    def test_driven_fit_jacobian_matches_finite_differences(self, model, kwargs, thetas, units):
+        records = [r for r in generate_batch(TLS, PI_5, 1024, 0) if r.theta_full in thetas]
+        blocks = _build_blocks(records, 4)
+        layout = _make_layout(model, [b.theta for b in blocks], FitConfig(**kwargs))
+        x = _slot_vector(layout, units)
+        jac = _jacobian_function(layout, blocks)(x)
+        oracle = relative_step_jacobian(
+            _residual_function(layout, blocks), x, [n.split("@")[0] in RATES for n in layout.names]
+        )
+        assert jac.shape == (len(records), len(layout.names))
+        for i, name in enumerate(layout.names):
+            err = np.linalg.norm(jac[:, i] - oracle[:, i])
+            assert err <= 1e-6 * np.linalg.norm(oracle[:, i]), (name, err)
 
     def test_idle_fit_counts_jacobian_evaluations(self):
         recs = generate_batch(TLS, IDLE, 1024, 9)
@@ -362,6 +390,66 @@ class TestIdleJacobian:
         assert fit.loss == pytest.approx(ref.fun, rel=1e-8)
         assert [fit.sigmas[n] for n in layout.names] == pytest.approx(sigma, rel=0.01)
         assert 3 * fit.nfev <= ref.nfev
+
+
+# ---------------------------------------------------------------------------
+# driven (theta, 0) pairs against scipy's forward differences
+
+class TestDrivenPairFits:
+    @pytest.mark.parametrize("model, starts", [("markovian", 2), ("qubit_tls", 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_fit_matches_the_finite_difference_fit(self, model, starts, seed):
+        # README truth, pi/5 pair at 16384 shots with the benchmark's starts;
+        # the reference runs the same starts through scipy's forward
+        # differences and takes sigma from central_jacobian
+        records = generate_batch(TLS, PI_5, 16384, seed)
+        config = FitConfig(starts=starts)
+        fit = fit_model(model, records, config)
+
+        blocks = _build_blocks(records, config.m)
+        layout = _make_layout(model, [b.theta for b in blocks], config)
+        residuals = _residual_function(layout, blocks)
+        base = _base_seeds(model, blocks, config)
+        lower, upper, scale = layout.bounds_and_scale(base)
+        ref = minimize_multistart(residuals, _starts(layout, base, config), lower, upper, scale, jac=None)
+        cov, sigma, _ = covariance_from_jacobian(central_jacobian(residuals, ref.x), ref.fun, fit.n_points)
+
+        assert ref.njev == 0 and fit.njev > 0
+        assert fit.loss == pytest.approx(ref.fun, rel=1e-8)
+        assert [fit.sigmas[n] for n in layout.names] == pytest.approx(sigma, rel=0.01)
+        assert 2 * (fit.nfev + fit.njev) <= ref.nfev
+        # the markovian misfit's delta_omega ratio is flat to 24 % (its
+        # sigma): within the optimiser's tolerances both fits stop up to
+        # 6e-5 of it from the fully polished optimum, so there the ratios
+        # agree far inside their sigma, and to 1e-6 on the qubit_tls fit
+        reference = replace(fit, free_values=ref.x, covariance=cov)
+        for new, old in zip(parameter_ratios(fit), parameter_ratios(reference), strict=True):
+            assert new.parameter == old.parameter
+            assert abs(new.value - old.value) <= 1e-4 * old.sigma
+            if model == "qubit_tls":
+                assert new.value == pytest.approx(old.value, rel=1e-6)
+
+    def test_sigma_at_an_active_bound_is_two_sided(self):
+        # exact records with gamma_ad = 0: the fit ends on the rate's bound,
+        # where the closed-form column is the derivative itself (a clamped
+        # difference would see only the side above zero)
+        truth = MarkovianParams(delta_omega=0.002, gamma_ad=0.0, gamma_d=1.9e-4)
+        records = generate_batch(truth, PI_5, 0, 0)
+        fit = fit_model("markovian", records, FitConfig(starts=8))
+        assert fit.params_by_theta[0.0].gamma_ad < 1e-9
+
+        blocks = _build_blocks(records, 4)
+        layout = _make_layout("markovian", [b.theta for b in blocks], FitConfig())
+        jac = _jacobian_function(layout, blocks)(fit.free_values)
+        cov, sigma, degenerate = covariance_from_jacobian(jac, fit.loss, fit.n_points)
+        assert np.array_equal(fit.covariance, cov)
+        k = layout.names.index("gamma_ad")
+        assert math.isfinite(fit.sigmas["gamma_ad"]) and fit.sigmas["gamma_ad"] == sigma[k] > 0.0
+        oracle = relative_step_jacobian(
+            _residual_function(layout, blocks), fit.free_values, [n.split("@")[0] in RATES for n in layout.names]
+        )
+        assert np.linalg.norm(jac[:, k] - oracle[:, k]) <= 1e-6 * np.linalg.norm(oracle[:, k])
+        assert fit.degenerate == (np.linalg.cond(jac.T @ jac) > 1e12) == degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from noiselab.models import (
     PMMEParams,
     QubitTLSParams,
     effective_dephasing,
+    generator_terms,
     idle_bloch_jacobian,
     map_pmme_to_qubit_tls,
     map_qubit_tls_to_pmme,
@@ -113,6 +114,20 @@ def test_markovian_idle_bloch_matches_generator():
         for row, ti in zip(closed, t):
             out = propagate(gen, ti) @ PauliVector.plus().coeffs
             assert np.allclose(row, out[1:], atol=1e-11)
+
+
+@pytest.mark.parametrize("draw, generator", [
+    (draw_markovian, markovian_generator), (draw_qubit_tls, qubit_tls_generator),
+])
+def test_generator_is_the_drive_plus_its_unit_terms(draw, generator):
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        p, drive = draw(rng), rng.normal()
+        terms = generator_terms(model_tag(p))
+        assert terms.shape[0] == len(PARAM_NAMES[model_tag(p)]) and not terms.flags.writeable
+        values = [getattr(p, name) for name in PARAM_NAMES[model_tag(p)]]
+        rebuilt = generator(type(p)(), drive) + np.tensordot(values, terms, axes=1)
+        assert np.allclose(generator(p, drive), rebuilt, rtol=0.0, atol=1e-15)
 
 
 def test_driven_generator_rotates_x_axis():

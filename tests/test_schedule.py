@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm_frechet
 
+from conftest import relative_step_jacobian
 from noiselab.models import (
+    MODEL_TAGS,
+    PARAM_NAMES,
+    RATES,
     MarkovianParams,
     PMMEParams,
     QubitTLSParams,
     UnsupportedModelError,
+    generator_terms,
     markovian_generator,
     markovian_idle_bloch,
     pmme_idle_bloch,
@@ -22,6 +28,7 @@ from noiselab.oracles import draw_markovian, draw_qubit_tls
 from noiselab.pauli import PauliVector, PowerEngine, propagate
 from noiselab.schedule import (
     PseudoidentitySchedule,
+    bloch_jacobian,
     bloch_trajectory,
     predict_trajectory,
     pseudoidentity_unitary,
@@ -225,6 +232,99 @@ def test_idle_closed_form_matches_block_engine(seed, tls, m):
     else:
         slow = engine.states(np.arange(151), PauliVector.plus().coeffs)[:, 1:4]
     assert np.max(np.abs(bloch_trajectory(params, sched) - slow)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# closed-form trajectory Jacobian
+
+# Per-parameter ranges, each well away from zero.  At the 2 pi echo the
+# delta_omega, nu_zx and kappa columns shrink by orders of magnitude, and a
+# difference oracle resolves a column to 1e-6 only while the parameter's
+# first-order effect on the trajectory stays well above its roundoff (about
+# 1e-14 per point, over a relative step of 1e-3).  At the fits' m = 4 these
+# ranges keep every column there (worst 3.5e-7 over their corners); the
+# insensitive points below them are checked against an exact reference in
+# test_jacobian_at_the_echo_matches_the_frechet_product_rule.
+_PARAM_RANGES = {
+    "delta_omega": (5e-3, 2e-2), "gamma_ad": (1e-5, 1e-3), "gamma_d": (1e-5, 1e-3),
+    "nu_zx": (5e-3, 2e-2), "kappa": (1e-2, 0.05),
+}
+_GRID = tuple(range(0, 151, 10))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, math.pi / 5, math.pi, 2.0 * math.pi, -math.pi / 3])
+@pytest.mark.parametrize("model, columns", [
+    ("markovian", (0, 1, 2)),
+    ("qubit_tls", (0, 1, 2, 3)),  # kappa frozen at 0
+    ("qubit_tls", (0, 1, 2, 3, 4)),
+])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(units=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5), negative=st.booleans())
+def test_jacobian_matches_finite_differences(model, columns, theta, units, negative):
+    names = PARAM_NAMES[model]
+    values = np.array([lo + (hi - lo) * u for n, u in zip(names, units) for lo, hi in [_PARAM_RANGES[n]]])
+    values[0] *= -1.0 if negative else 1.0  # delta_omega of either sign
+    values[[i for i in range(len(names)) if i not in columns]] = 0.0
+    sched = PseudoidentitySchedule(theta_full=theta, n_values=_GRID)
+
+    def predict(x):
+        v = values.copy()
+        v[list(columns)] = x
+        return bloch_trajectory(MODEL_TAGS[model](*v), sched)
+
+    jac = bloch_jacobian(MODEL_TAGS[model](*values), sched, columns)
+    oracle = relative_step_jacobian(predict, values[list(columns)], [names[i] in RATES for i in columns])
+    assert jac.shape == (len(_GRID), 3, len(columns))
+    for i, col in enumerate(columns):
+        err = np.linalg.norm(jac[..., i] - oracle[..., i])
+        assert err <= 1e-6 * np.linalg.norm(oracle[..., i]), (names[col], err)
+
+
+@pytest.mark.parametrize("params", [
+    MarkovianParams(delta_omega=0.0, gamma_ad=1e-5, gamma_d=1e-5),
+    QubitTLSParams(delta_omega=0.0, gamma_ad=1e-5, gamma_d=1e-5, nu_zx=1e-4, kappa=1e-4),
+    QubitTLSParams(delta_omega=-0.01, gamma_ad=1e-5, gamma_d=1e-5, nu_zx=1e-4, kappa=0.0),
+])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_jacobian_at_the_echo_matches_the_frechet_product_rule(params, m):
+    # At the 2 pi echo with no detuning or a weak TLS, columns fall to 1e-8
+    # of the others, below any difference oracle.  The reference is built
+    # from scipy's separate Frechet derivative (Al-Mohy & Higham 2009) of
+    # each half: d Lambda = dE_- E_+ + E_- dE_+, then d Lambda^n c0 stepped
+    # as d s_{n+1} = Lambda d s_n + d Lambda s_n.
+    sched = _sched(2.0 * math.pi, n_values=_GRID, m=m)
+    model = "markovian" if isinstance(params, MarkovianParams) else "qubit_tls"
+    generator = markovian_generator if model == "markovian" else qubit_tls_generator
+    omega = sched.theta_full / (2.0 * m)
+    c0 = (PauliVector.plus() if model == "markovian" else PauliVector.plus_tls_ground()).coeffs
+    axes = [1, 2, 3] if model == "markovian" else [4, 8, 12]
+    columns = range(len(PARAM_NAMES[model]))
+    jac = bloch_jacobian(params, sched, columns)
+    for i, term in zip(columns, generator_terms(model)):
+        e_plus, de_plus = expm_frechet(m * generator(params, omega), m * term)
+        e_minus, de_minus = expm_frechet(m * generator(params, -omega), m * term)
+        lam, dlam = e_minus @ e_plus, de_minus @ e_plus + e_minus @ de_plus
+        state, dstate, ref = c0, np.zeros_like(c0), []
+        for n in range(_GRID[-1] + 1):
+            if n in _GRID:
+                ref.append(dstate[axes])
+            state, dstate = lam @ state, lam @ dstate + dlam @ state
+        ref = np.array(ref)
+        assert np.linalg.norm(jac[..., i] - ref) <= 1e-6 * np.linalg.norm(ref), i
+
+
+def test_jacobian_leaves_out_unlisted_parameters():
+    p = QubitTLSParams(delta_omega=0.002, gamma_ad=3.6e-5, gamma_d=1.9e-4, nu_zx=0.0027, kappa=0.01)
+    sched = _sched(math.pi / 5, n_values=range(0, 61, 10))
+    full = bloch_jacobian(p, sched, range(5))
+    assert np.allclose(bloch_jacobian(p, sched, [3, 0]), full[:, :, [3, 0]], rtol=1e-10, atol=1e-14)
+
+
+def test_pmme_jacobian_is_idle_only():
+    p = PMMEParams(delta_omega=0.01, gamma_ad=0.0, gamma_d=0.0, gamma_z=0.001, b=0.0)
+    assert bloch_jacobian(p, _sched(0.0), [3, 4]).shape == (3, 3, 2)
+    with pytest.raises(UnsupportedModelError):
+        bloch_jacobian(p, _sched(1.0), [0])
 
 
 def test_pmme_rejects_driven_schedule():
